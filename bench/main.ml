@@ -115,34 +115,8 @@ let jobs_of_argv () =
   done;
   max 1 !jobs
 
-(* --shards N splits every engine's event queue into N statically-routed
-   shard queues (Sim.Engine ?shards); orthogonal to --jobs, which fans
-   whole experiments out across domains. *)
-let shards_of_argv () =
-  let shards = ref 1 in
-  (match Sys.getenv_opt "BENCH_SHARDS" with
-  | Some s -> (
-      match int_of_string_opt s with Some n -> shards := n | None -> ())
-  | None -> ());
-  let argv = Sys.argv in
-  for i = 1 to Array.length argv - 1 do
-    match argv.(i) with
-    | "--shards" when i + 1 < Array.length argv -> (
-        match int_of_string_opt argv.(i + 1) with
-        | Some n -> shards := n
-        | None -> ())
-    | s when String.length s > 9 && String.sub s 0 9 = "--shards=" -> (
-        match int_of_string_opt (String.sub s 9 (String.length s - 9)) with
-        | Some n -> shards := n
-        | None -> ())
-    | _ -> ()
-  done;
-  max 1 !shards
-
 let () =
   let jobs = jobs_of_argv () in
-  let shards = shards_of_argv () in
-  Sim.Engine.set_default_shards shards;
   let fault = fault_of_argv () in
   (match policy_of_argv () with
   | Some k -> Experiments.Scenario.set_policy k
@@ -150,8 +124,6 @@ let () =
   Printf.printf "=== Aquila (EuroSys '21) reproduction benchmark harness ===\n";
   Printf.printf "%s\n" Experiments.Scenario.scale_note;
   if jobs > 1 then Printf.printf "(fan-out: up to %d parallel domains)\n" jobs;
-  if shards > 1 then
-    Printf.printf "(engine sharding: %d event-queue shards per engine)\n" shards;
   (match Experiments.Scenario.policy () with
   | Mcache.Policy.Clock -> ()
   | k ->

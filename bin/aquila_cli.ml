@@ -111,26 +111,23 @@ let shards_arg =
     value
     & opt int 1
     & info [ "shards" ] ~docv:"N"
-        ~doc:"Partition every engine's event queue into $(docv) shards \
-              (static routing by fiber core, drained in global (time, seq) \
-              order — the deterministic merge, DESIGN.md section 9).  \
-              Output is byte-identical at any shard count.  Contrast with \
-              $(b,--jobs), which fans out across independent experiments; \
-              $(b,--shards) restructures the event queue inside each one.")
+        ~doc:"Run the shard-partitioned experiments ($(b,fig5s), \
+              $(b,fig10s), $(b,crashs)) as a $(docv)-shard cluster, one \
+              OCaml domain per shard (DESIGN.md section 10).  Every other \
+              experiment has one engine and ignores it.  Contrast with \
+              $(b,--jobs), which fans out across independent experiments.")
 
 let deterministic_arg =
   Arg.(
     value
     & flag
     & info [ "deterministic" ]
-        ~doc:"Run cluster workloads (the 's'-suffixed shard-partitioned \
-              experiments) in deterministic merge mode — one domain \
-              replaying the shards in global (time, seq) order — instead \
-              of free-running across OCaml domains.  Terminal stats are \
-              byte-identical either way (the CI parity gates compare \
-              them); single-engine workloads already merge \
-              deterministically, so there the flag just asserts the \
-              contract.")
+        ~doc:"Run the shard-partitioned experiments ($(b,fig5s), \
+              $(b,fig10s), $(b,crashs)) in deterministic merge mode — one \
+              domain replaying the shards in global (time, seq) order — \
+              instead of free-running across OCaml domains.  Terminal \
+              stats are byte-identical either way (the CI parity gates \
+              compare them).  Every other experiment ignores it.")
 
 let run_cmd =
   let doc = "Run one experiment (or 'all')." in
@@ -149,7 +146,6 @@ let run_cmd =
     | Ok _, _ when shards < 1 -> `Error (true, "--shards must be >= 1")
     | Ok entries, Ok fault ->
         Experiments.Scenario.set_policy policy;
-        Sim.Engine.set_default_shards shards;
         Experiments.Sharded.set_mode ~shards ~deterministic;
         (* The ambient tracer is domain-local: worker domains would record
            nothing, so tracing forces a sequential run. *)
@@ -287,16 +283,13 @@ let faultcheck_cmd =
                 msync disabled): the sweep is expected to report \
                 violations, proving the checker has teeth.")
   in
-  let run seeds points mode broken shards _deterministic plan crash_at policy
-      metrics_out =
+  let run seeds points mode broken plan crash_at policy metrics_out =
     if seeds < 1 || points < 1 then
       `Error (true, "--seeds and --points must be >= 1")
-    else if shards < 1 then `Error (true, "--shards must be >= 1")
     else
       match fault_spec_of plan crash_at with
       | Error msg -> `Error (true, "--fault-plan: " ^ msg)
       | Ok fault ->
-          Sim.Engine.set_default_shards shards;
           let spec = Option.value fault ~default:Fault.Plan.default in
           let seeds = List.init seeds (fun i -> i + 1) in
           let reports =
@@ -317,7 +310,7 @@ let faultcheck_cmd =
             | `Micro -> []
           in
           List.iter (Fault_check.Check.pp_report Format.std_formatter) reports;
-          let clean = List.for_all Fault_check.Check.ok reports in
+          let clean = List.for_all Fault.Report.ok reports in
           if broken then
             if clean then
               `Error (false, "broken variant produced no violations — the \
@@ -334,9 +327,8 @@ let faultcheck_cmd =
     (Cmd.info "faultcheck" ~doc ~man)
     Term.(
       ret
-        (const run $ seeds $ points $ mode $ broken $ shards_arg
-       $ deterministic_arg $ fault_plan_arg $ crash_at_arg $ policy_arg
-       $ metrics_out_arg))
+        (const run $ seeds $ points $ mode $ broken $ fault_plan_arg
+       $ crash_at_arg $ policy_arg $ metrics_out_arg))
 
 let clustercheck_cmd =
   let doc = "Cluster failover sweep: crash nodes, verify no acked write lost." in
@@ -413,7 +405,7 @@ let clustercheck_cmd =
       (* one fan-out job per seed, each writing its own report slot;
          Fanout joins every domain before we merge in seed order, so the
          printed report is byte-identical at any --jobs degree *)
-      let results = Array.make seeds Aqcluster.Check.empty in
+      let results = Array.make seeds Fault.Report.empty in
       Experiments.Fanout.run ~jobs
         (List.mapi
            (fun i seed ->
@@ -425,10 +417,10 @@ let clustercheck_cmd =
                      ()))
            seed_list);
       let report =
-        Array.fold_left Aqcluster.Check.merge Aqcluster.Check.empty results
+        Array.fold_left Fault.Report.merge Fault.Report.empty results
       in
       Aqcluster.Check.pp_report Format.std_formatter report;
-      let clean = Aqcluster.Check.ok report in
+      let clean = Fault.Report.ok report in
       if broken then
         if clean then
           `Error
@@ -462,9 +454,9 @@ let loadtest_cmd =
          SLO-violation and load-shedding counts; arrivals beyond the \
          bounded admission queue are shed, as are arrivals while the DRAM \
          cache is in degraded mode.  One fan-out job per (backend, rate) \
-         point: output is byte-identical at any $(b,--jobs) or \
-         $(b,--shards) degree (CI cmp-gates both; lines starting with '#' \
-         are excluded from the comparison).";
+         point: output is byte-identical at any $(b,--jobs) degree (CI \
+         cmp-gates it; lines starting with '#' are excluded from the \
+         comparison).";
     ]
   in
   let backend_conv =
@@ -544,14 +536,13 @@ let loadtest_cmd =
       & info [ "seed" ] ~docv:"N"
           ~doc:"Seed for the arrival stream and request contents.")
   in
-  let run backends rates process horizon workers queue_cap slo seed jobs
-      shards deterministic plan crash_at policy metrics_out =
+  let run backends rates process horizon workers queue_cap slo seed jobs plan
+      crash_at policy metrics_out =
     match (Loadgen.Arrival.shape_of_string process, fault_spec_of plan crash_at)
     with
     | Error msg, _ -> `Error (true, "--process: " ^ msg)
     | _, Error msg -> `Error (true, "--fault-plan: " ^ msg)
     | Ok _, _ when jobs < 1 -> `Error (true, "--jobs must be >= 1")
-    | Ok _, _ when shards < 1 -> `Error (true, "--shards must be >= 1")
     | Ok _, _ when horizon <= 0 -> `Error (true, "--horizon must be > 0")
     | Ok _, _ when workers < 1 -> `Error (true, "--workers must be >= 1")
     | Ok _, _ when queue_cap < 1 -> `Error (true, "--queue-cap must be >= 1")
@@ -561,13 +552,7 @@ let loadtest_cmd =
         `Error (true, "--rates must be positive")
     | Ok shape, Ok fault ->
         Experiments.Scenario.set_policy policy;
-        Sim.Engine.set_default_shards shards;
-        (* loadtest runs single-engine workloads: --shards restructures
-           each engine's queue under the deterministic merge, and
-           --deterministic just asserts that contract, so both are
-           reported on a '#' line the parity gate filters out *)
-        Printf.printf "# loadtest jobs=%d shards=%d%s\n%!" jobs shards
-          (if deterministic then " deterministic" else "");
+        Printf.printf "# loadtest jobs=%d\n%!" jobs;
         let params =
           {
             Experiments.Openloop.shape;
@@ -587,8 +572,8 @@ let loadtest_cmd =
     Term.(
       ret
         (const run $ backends $ rates $ process $ horizon $ workers
-       $ queue_cap $ slo $ seed $ jobs_arg $ shards_arg $ deterministic_arg
-       $ fault_plan_arg $ crash_at_arg $ policy_arg $ metrics_out_arg))
+       $ queue_cap $ slo $ seed $ jobs_arg $ fault_plan_arg $ crash_at_arg
+       $ policy_arg $ metrics_out_arg))
 
 let report_cmd =
   let doc = "Run an experiment and print its metrics breakdown." in
@@ -663,7 +648,6 @@ let report_cmd =
         `Error (true, "--sample-period and --timeseries-period must be > 0")
     | Ok entries, Ok fault ->
         Experiments.Scenario.set_policy policy;
-        Sim.Engine.set_default_shards shards;
         Experiments.Sharded.set_mode ~shards ~deterministic;
         let profiling = profile <> None || timeseries <> None in
         (* The profiler is domain-local, like the tracer. *)

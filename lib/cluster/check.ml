@@ -20,27 +20,7 @@
    (fresh engine, WAL replay only) and oracles 1 and 3 re-checked: what
    the cluster serves must be reconstructible from durable state alone. *)
 
-type report = {
-  combos : int;  (** (seed x ordinal x node) runs, probes excluded *)
-  crashes : int;  (** combos whose run actually downed the node *)
-  violations : string list;
-}
-
-let ok r = r.violations = []
-
-let empty = { combos = 0; crashes = 0; violations = [] }
-
-let merge a b =
-  {
-    combos = a.combos + b.combos;
-    crashes = a.crashes + b.crashes;
-    violations = a.violations @ b.violations;
-  }
-
-let pp_report ppf r =
-  Fmt.pf ppf "clustercheck: %d combos, %d crashed, %d violations@." r.combos
-    r.crashes (List.length r.violations);
-  List.iter (fun v -> Fmt.pf ppf "  VIOLATION %s@." v) r.violations
+let pp_report = Fault.Report.pp "clustercheck"
 
 (* ---- workload ---- *)
 
@@ -223,4 +203,8 @@ let sweep ?(broken = false) ?(cfg = Cluster.default_config) ~seeds ~points () =
         done
       done)
     seeds;
-  { combos = !combos; crashes = !crashes; violations = List.rev !violations }
+  {
+    Fault.Report.combos = !combos;
+    crashes = !crashes;
+    violations = List.rev !violations;
+  }

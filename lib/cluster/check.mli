@@ -11,24 +11,12 @@
     With [~broken:true] the cluster acks before replicating; the sweep
     must then report violations, proving the oracle has teeth. *)
 
-type report = {
-  combos : int;  (** (seed × ordinal × node) runs, probes excluded *)
-  crashes : int;  (** combos whose run actually downed the node *)
-  violations : string list;
-}
-
-val ok : report -> bool
-val empty : report
-
-val merge : report -> report -> report
-(** Order-sensitive on [violations]; merge sub-reports in seed order so
-    fan-out output is byte-identical at any [--jobs] degree. *)
-
-val pp_report : Format.formatter -> report -> unit
+val pp_report : Format.formatter -> Fault.Report.t -> unit
+(** {!Fault.Report.pp} under the ["clustercheck"] header. *)
 
 val sweep :
   ?broken:bool -> ?cfg:Cluster.config -> seeds:int list -> points:int ->
-  unit -> report
+  unit -> Fault.Report.t
 (** Per seed: two no-crash probes (byte-level determinism gate over
     event count, acked ops and device bytes), then [points] crash
     ordinals spread over the probe's event count, each crossed with

@@ -86,7 +86,6 @@ let retries t = t.n_retries
 let alive t i = i < 0 || t.alive i
 
 let call t ~src ~dst req =
-  let ccore = (Sim.Engine.self ()).Sim.Engine.core in
   let result = ref None in
   let fired = ref false in
   Sim.Engine.suspend (fun resume ->
@@ -100,7 +99,7 @@ let call t ~src ~dst req =
         end
       in
       let now = Int64.to_int (Sim.Engine.now t.eng) in
-      Sim.Engine.post t.eng ~core:ccore
+      Sim.Engine.post t.eng
         ~at:(Int64.of_int (now + t.cfg.timeout))
         (fun () ->
           if not !fired then begin
@@ -109,7 +108,7 @@ let call t ~src ~dst req =
           end;
           finish None);
       if alive t src then
-        Sim.Engine.post t.eng ~core:dst
+        Sim.Engine.post t.eng
           ~at:(Int64.of_int (now + t.cfg.wire_latency))
           (fun () ->
             if alive t dst then
@@ -129,7 +128,7 @@ let call t ~src ~dst req =
                                let rnow =
                                  Int64.to_int (Sim.Engine.now t.eng)
                                in
-                               Sim.Engine.post t.eng ~core:ccore
+                               Sim.Engine.post t.eng
                                  ~at:
                                    (Int64.of_int
                                       (rnow + t.cfg.wire_latency))

@@ -20,18 +20,7 @@
 
 let psz = Hw.Defs.page_size
 
-type report = {
-  combos : int;  (** (seed x crash point) runs, probe runs excluded *)
-  crashes : int;  (** combos whose run actually hit the injected crash *)
-  violations : string list;  (** durability-oracle failures, labelled *)
-}
-
-let ok r = r.violations = []
-
-let pp_report ppf r =
-  Fmt.pf ppf "faultcheck: %d combos, %d crashed, %d violations@." r.combos
-    r.crashes (List.length r.violations);
-  List.iter (fun v -> Fmt.pf ppf "  VIOLATION %s@." v) r.violations
+let pp_report = Fault.Report.pp "faultcheck"
 
 (* ---- micro: versioned full-page writes over NVMe ---- *)
 
@@ -401,7 +390,11 @@ let sweep ~mode ~(spec : Fault.Plan.spec) ~seeds ~points once =
         add ~seed ~crash_at:(Some at) r.run_violations
       done)
     seeds;
-  { combos = !combos; crashes = !crashes; violations = List.rev !violations }
+  {
+    Fault.Report.combos = !combos;
+    crashes = !crashes;
+    violations = List.rev !violations;
+  }
 
 let run_micro ?(spec = Fault.Plan.default) ?(broken = false)
     ?(policy = Mcache.Policy.Clock) ~seeds ~points () =

@@ -15,14 +15,8 @@
     which is also executed twice to assert determinism (identical event
     counts, injection counters and — for micro — device bytes). *)
 
-type report = {
-  combos : int;  (** (seed x crash point) runs, probe runs excluded *)
-  crashes : int;  (** combos whose run actually hit the injected crash *)
-  violations : string list;  (** durability-oracle failures, labelled *)
-}
-
-val ok : report -> bool
-val pp_report : Format.formatter -> report -> unit
+val pp_report : Format.formatter -> Fault.Report.t -> unit
+(** {!Fault.Report.pp} under the ["faultcheck"] header. *)
 
 val run_micro :
   ?spec:Fault.Plan.spec ->
@@ -31,7 +25,7 @@ val run_micro :
   seeds:int list ->
   points:int ->
   unit ->
-  report
+  Fault.Report.t
 (** Versioned full-page writes through an Aquila mmap over an NVMe block
     device: [micro_ops] random single-page writes with an msync every few
     ops, [points] crash ordinals per seed.  [spec] adds error injection on
@@ -46,7 +40,7 @@ val run_kreon :
   seeds:int list ->
   points:int ->
   unit ->
-  report
+  Fault.Report.t
 (** The same sweep over a {!Kvstore.Kreon_sim} instance on DAX pmem:
     random puts with periodic msync commits, crash, restart + recover,
     then every acked key must return its acked (or a later) value and no

@@ -320,3 +320,22 @@ let note_retry (p : Plan.t) =
   p.Plan.n_retries <- p.Plan.n_retries + 1;
   Metrics.Registry.incr (Domain.DLS.get m_retries_key)
 let note_sigbus (p : Plan.t) = p.Plan.n_sigbus <- p.Plan.n_sigbus + 1
+
+module Report = struct
+  type t = { combos : int; crashes : int; violations : string list }
+
+  let empty = { combos = 0; crashes = 0; violations = [] }
+  let ok r = r.violations = []
+
+  let merge a b =
+    {
+      combos = a.combos + b.combos;
+      crashes = a.crashes + b.crashes;
+      violations = a.violations @ b.violations;
+    }
+
+  let pp header ppf r =
+    Fmt.pf ppf "%s: %d combos, %d crashed, %d violations@." header r.combos
+      r.crashes (List.length r.violations);
+    List.iter (fun v -> Fmt.pf ppf "  VIOLATION %s@." v) r.violations
+end

@@ -145,3 +145,28 @@ val draw_spike : Plan.t -> int
 
 val note_retry : Plan.t -> unit
 val note_sigbus : Plan.t -> unit
+
+(** {1 Crash-sweep reports}
+
+    The result shared by both crash sweeps: [aquila_cli faultcheck]
+    ([Fault_check.Check]) and [aquila_cli clustercheck]
+    ([Aqcluster.Check]). *)
+
+module Report : sig
+  type t = {
+    combos : int;  (** crash runs, probe runs excluded *)
+    crashes : int;  (** combos whose run actually hit the injected crash *)
+    violations : string list;  (** oracle failures, labelled *)
+  }
+
+  val empty : t
+  val ok : t -> bool
+
+  val merge : t -> t -> t
+  (** Order-sensitive on [violations]; merge sub-reports in seed order so
+      fan-out output is byte-identical at any [--jobs] degree. *)
+
+  val pp : string -> Format.formatter -> t -> unit
+  (** [pp header] prints ["header: N combos, C crashed, V violations"],
+      then one ["  VIOLATION ..."] line per violation. *)
+end

@@ -3,8 +3,8 @@
     Every generator is a {e pure function} of [(seed, process, horizon)]:
     the stream is computed eagerly with a private splitmix64 generator
     before any engine event runs, so the same parameters produce the same
-    arrival times — byte-for-byte — at any [--shards] or [--jobs] degree
-    (a QCheck property enforces this).  Times are virtual cycles on the
+    arrival times — byte-for-byte — at any [--jobs] degree (a QCheck
+    property enforces this).  Times are virtual cycles on the
     simulated 2.4 GHz clock; rates are offered load in operations per
     second of that clock. *)
 

@@ -99,12 +99,10 @@ let pop t =
     Some r
   end
 
-(* Allocation-free accessors for the engine's run loop: read the head key
-   with [min_time]/[min_seq], then take the payload with [pop_min]. *)
+(* Allocation-free accessors: read the head time with [min_time], then
+   take the payload with [pop_min]. *)
 
 let min_time t = if t.len = 0 then max_int else t.times.(0)
-
-let min_seq t = if t.len = 0 then max_int else t.seqs.(0)
 
 let pop_min t =
   if t.len = 0 then invalid_arg "Pqueue.pop_min: empty queue";

@@ -35,10 +35,6 @@ val min_time : 'a t -> int
 (** [min_time q] is the key time of the head, or [max_int] when empty.
     Allocation-free, for hot-path comparisons. *)
 
-val min_seq : 'a t -> int
-(** [min_seq q] is the sequence number of the head, or [max_int] when
-    empty. *)
-
 val pop_min : 'a t -> 'a
 (** [pop_min q] removes the head and returns its payload only (no tuple
     allocation).  Raises [Invalid_argument] on an empty queue; pair with
@@ -61,7 +57,7 @@ val pop_into : 'a t -> 'a slot -> before:int -> bool
 (** [pop_into q out ~before] pops the head into [out] and returns [true]
     when the head's time is strictly earlier than [before]; otherwise
     leaves the queue untouched and returns [false].  The allocation-free
-    primitive behind the engine's shard drain loop; {!pop_if_before} is
+    primitive behind the engine's drain loop; {!pop_if_before} is
     its boxing wrapper. *)
 
 val peek_time : 'a t -> int option

@@ -226,10 +226,7 @@ let reraise_first_failure cl =
     cl.fails
 
 let make_shard cl ~seed sid build =
-  (* [~shards:1]: cluster shards are single-queue engines regardless of
-     the ambient [Engine.set_default_shards] — the cluster *is* the
-     sharding. *)
-  let eng = Engine.create ~seed:(seed + (7919 * sid)) ~shards:1 () in
+  let eng = Engine.create ~seed:(seed + (7919 * sid)) () in
   let sh = { sid; eng; cl; out_ord = 0 } in
   cl.engines.(sid) <- Some eng;
   cl.handles.(sid) <- Some sh;

@@ -256,10 +256,10 @@ let sweep_clean () =
   let r =
     Aqcluster.Check.sweep ~cfg:sweep_cfg ~seeds:[ 11 ] ~points:2 ()
   in
-  checki "combos" (2 * 3) r.Aqcluster.Check.combos;
-  checki "every combo crashed its node" r.Aqcluster.Check.combos
-    r.Aqcluster.Check.crashes;
-  Alcotest.(check (list string)) "no violations" [] r.Aqcluster.Check.violations
+  checki "combos" (2 * 3) r.Fault.Report.combos;
+  checki "every combo crashed its node" r.Fault.Report.combos
+    r.Fault.Report.crashes;
+  Alcotest.(check (list string)) "no violations" [] r.Fault.Report.violations
 
 let sweep_broken_caught () =
   let r =
@@ -267,7 +267,7 @@ let sweep_broken_caught () =
   in
   Alcotest.(check bool)
     "ack-before-replication is caught" false
-    (Aqcluster.Check.ok r)
+    (Fault.Report.ok r)
 
 (* ---- Engine.blocked_report node tag (satellite) ---- *)
 

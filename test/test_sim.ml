@@ -318,10 +318,41 @@ let engine_blocked_report_breaks_down_costs () =
   Alcotest.(check bool) "itemizes its labels" true (contains "io_retry");
   Alcotest.(check bool) "finished fiber absent" true (not (contains "fine"))
 
+(* A deliberately messy engine workload: per-core rng delays, idle
+   waits, suspend/resume pairs and external posts on 6 cores. *)
+let mixed_workload eng =
+  let ncores = 6 in
+  let log = Buffer.create 512 in
+  let resume_cell = ref None in
+  for core = 0 to ncores - 1 do
+    ignore
+      (Sim.Engine.spawn eng ~core ~name:(Printf.sprintf "w%d" core) (fun () ->
+           let rng = Sim.Rng.create (100 + core) in
+           for op = 1 to 20 do
+             Sim.Engine.delay ~label:"work"
+               (Int64.of_int (1 + Sim.Rng.int rng 30));
+             if Sim.Rng.int rng 5 = 0 then Sim.Engine.idle_wait 17L;
+             if core = 0 && op = 5 then
+               Sim.Engine.suspend (fun resume -> resume_cell := Some resume);
+             if core = 1 && op = 10 then (
+               match !resume_cell with Some r -> r () | None -> ());
+             Buffer.add_string log
+               (Printf.sprintf "%d.%d@%Ld;" core op (Sim.Engine.now_f ()))
+           done))
+  done;
+  for i = 0 to 9 do
+    Sim.Engine.post eng
+      ~at:(Int64.of_int (37 * (i + 1)))
+      (fun () -> Buffer.add_string log (Printf.sprintf "p%d;" i))
+  done;
+  Sim.Engine.run eng;
+  (Sim.Engine.events eng, Sim.Engine.now eng, Buffer.contents log)
+
 let engine_fastpath_matches_queued () =
   (* The delay fast path must be invisible: same seed with the fast path
      on and off gives identical event counts, final times, per-fiber
-     accounting and interleaving. *)
+     accounting and interleaving — also with posts, suspend/resume and
+     idle waits mixed in across 6 cores. *)
   let run fastpath =
     let eng = Sim.Engine.create ~seed:11 ~fastpath () in
     let log = Buffer.create 256 in
@@ -350,14 +381,19 @@ let engine_fastpath_matches_queued () =
   checki "same event count" e2 e1;
   check64 "same final time" t2 t1;
   check Alcotest.string "same interleaving" l2 l1;
-  Alcotest.(check bool) "same accounting" true (a1 = a2)
+  Alcotest.(check bool) "same accounting" true (a1 = a2);
+  let mixed fastpath = mixed_workload (Sim.Engine.create ~seed:9 ~fastpath ()) in
+  let e1, t1, l1 = mixed true and e2, t2, l2 = mixed false in
+  checki "mixed: same event count" e2 e1;
+  check64 "mixed: same final time" t2 t1;
+  check Alcotest.string "mixed: same interleaving" l2 l1
 
 let engine_post_and_run_until () =
   let eng = Sim.Engine.create () in
   let log = ref [] in
-  Sim.Engine.post eng ~core:3 ~at:200L (fun () -> log := 200 :: !log);
-  Sim.Engine.post eng ~core:0 ~at:50L (fun () -> log := 50 :: !log);
-  Sim.Engine.post eng ~core:1 ~at:500L (fun () -> log := 500 :: !log);
+  Sim.Engine.post eng ~at:200L (fun () -> log := 200 :: !log);
+  Sim.Engine.post eng ~at:50L (fun () -> log := 50 :: !log);
+  Sim.Engine.post eng ~at:500L (fun () -> log := 500 :: !log);
   checki "next_time sees earliest post" 50 (Sim.Engine.next_time eng);
   Sim.Engine.run_until eng ~horizon:201;
   (* horizon is exclusive: 50 and 200 ran, 500 is still pending *)
@@ -372,87 +408,6 @@ let engine_post_and_run_until () =
   Alcotest.(check (list int)) "run drains the rest" [ 50; 200; 500 ]
     (List.rev !log);
   checki "next_time on empty" max_int (Sim.Engine.next_time eng)
-
-let engine_shard_routing () =
-  let eng = Sim.Engine.create ~shards:4 () in
-  checki "n_shards" 4 (Sim.Engine.n_shards eng);
-  checki "core 6 -> shard 2" 2 (Sim.Engine.shard_of_core eng 6);
-  checki "negative core wraps" 3 (Sim.Engine.shard_of_core eng (-1));
-  Alcotest.check_raises "shards < 1 rejected"
-    (Invalid_argument "Engine.create: shards must be >= 1") (fun () ->
-      ignore (Sim.Engine.create ~shards:0 ()));
-  Alcotest.check_raises "default shards < 1 rejected"
-    (Invalid_argument "Engine.set_default_shards: shards must be >= 1")
-    (fun () -> Sim.Engine.set_default_shards 0);
-  (* the ambient default (what --shards sets) feeds ?shards-less create *)
-  Fun.protect
-    ~finally:(fun () -> Sim.Engine.set_default_shards 1)
-    (fun () ->
-      Sim.Engine.set_default_shards 3;
-      checki "create () picks up default" 3
-        (Sim.Engine.n_shards (Sim.Engine.create ()));
-      checki "explicit ?shards wins" 1
-        (Sim.Engine.n_shards (Sim.Engine.create ~shards:1 ())));
-  checki "default restored" 1 (Sim.Engine.n_shards (Sim.Engine.create ()))
-
-(* A deliberately messy engine workload: per-core rng delays, idle
-   waits, suspend/resume pairs and external posts.  Used to pin the
-   sharded engine to the single-queue schedule. *)
-let shardable_workload eng =
-  let ncores = 6 in
-  let log = Buffer.create 512 in
-  let resume_cell = ref None in
-  for core = 0 to ncores - 1 do
-    ignore
-      (Sim.Engine.spawn eng ~core ~name:(Printf.sprintf "w%d" core) (fun () ->
-           let rng = Sim.Rng.create (100 + core) in
-           for op = 1 to 20 do
-             Sim.Engine.delay ~label:"work"
-               (Int64.of_int (1 + Sim.Rng.int rng 30));
-             if Sim.Rng.int rng 5 = 0 then Sim.Engine.idle_wait 17L;
-             if core = 0 && op = 5 then
-               Sim.Engine.suspend (fun resume -> resume_cell := Some resume);
-             if core = 1 && op = 10 then (
-               match !resume_cell with Some r -> r () | None -> ());
-             Buffer.add_string log
-               (Printf.sprintf "%d.%d@%Ld;" core op (Sim.Engine.now_f ()))
-           done))
-  done;
-  for i = 0 to 9 do
-    Sim.Engine.post eng ~core:i
-      ~at:(Int64.of_int (37 * (i + 1)))
-      (fun () -> Buffer.add_string log (Printf.sprintf "p%d;" i))
-  done;
-  Sim.Engine.run eng;
-  (Sim.Engine.events eng, Sim.Engine.now eng, Buffer.contents log)
-
-let engine_sharding_transparent =
-  (* The tentpole determinism contract at the engine layer: splitting
-     the event queue into any number of statically-routed shard queues
-     with a deterministic global (time, seq) merge must reproduce the
-     single-queue schedule byte for byte — event count, final clock and
-     full interleaving. *)
-  QCheck.Test.make ~name:"engine sharding reproduces single-queue schedule"
-    ~count:30
-    QCheck.(int_range 2 8)
-    (fun shards ->
-      shardable_workload (Sim.Engine.create ~seed:9 ~shards:1 ())
-      = shardable_workload (Sim.Engine.create ~seed:9 ~shards ()))
-
-let engine_blocked_report_names_shard () =
-  let eng = Sim.Engine.create ~shards:4 () in
-  ignore
-    (Sim.Engine.spawn eng ~name:"parked" ~core:6 (fun () ->
-         Sim.Engine.suspend (fun _resume -> ())));
-  Sim.Engine.run eng;
-  let report = Sim.Engine.blocked_report eng in
-  let contains sub =
-    let n = String.length sub and m = String.length report in
-    let rec go i = i + n <= m && (String.sub report i n = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "owning shard id in report" true
-    (contains "core 6 shard 2")
 
 (* ---- Shard (conservative PDES cluster) ---- *)
 
@@ -726,10 +681,6 @@ let () =
             engine_blocked_report_breaks_down_costs;
           Alcotest.test_case "post / run_until horizon" `Quick
             engine_post_and_run_until;
-          Alcotest.test_case "shard routing" `Quick engine_shard_routing;
-          QCheck_alcotest.to_alcotest engine_sharding_transparent;
-          Alcotest.test_case "blocked report names shard" `Quick
-            engine_blocked_report_names_shard;
         ] );
       ( "shard",
         [
