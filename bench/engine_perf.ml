@@ -18,38 +18,14 @@
    the fast path on, off, and across repetitions — any mismatch exits
    non-zero.  Results land in BENCH_engine.json.
 
-   PDES scaling curve (BENCH_pdes.json): the Experiments.Pdes_bench
-   fig-scale workload (32 per-core Aquila stacks + ring IPIs) on a
-   Sim.Shard cluster at 1/2/4/8 shards.  Each shard count runs
-   free-running twice and deterministic-merge once; all three must agree
-   on events / final_cycles / cross_posts / windows (and those counters
-   must match shards=1), which is what CI gates — wall-clock speedup is
-   reported with ".wall" keys the perf gate skips.  Set
-   ENGINE_PERF_MIN_SPEEDUP4 to enforce a floor on the 4-shard speedup
-   (only meaningful on a machine with >= 4 cores; skipped with a warning
-   otherwise).
-
-   Throughput denominators count the run phase only: single-engine
-   workloads time Engine.run / Microbench.run (not stack construction),
-   and cluster runs use Shard stats' run_wall_s, which is stamped inside
-   the cluster's barriers and so excludes Domain.spawn, per-shard
-   builders, and join/teardown.  Wall-clock uses Unix.gettimeofday —
-   CPU time would make parallel speedup invisible by construction. *)
+   Throughput denominators count the run phase only (Engine.run /
+   Microbench.run, not stack construction).  Wall-clock uses
+   Unix.gettimeofday. *)
 
 let iters =
   match Sys.getenv_opt "ENGINE_PERF_ITERS" with
   | Some s -> ( match int_of_string_opt s with Some n -> max 1 n | None -> 1_000_000)
   | None -> 1_000_000
-
-let pdes_ops =
-  match Sys.getenv_opt "ENGINE_PERF_PDES_OPS" with
-  | Some s -> ( match int_of_string_opt s with Some n -> max 1 n | None -> 1500)
-  | None -> 1500
-
-let sharded_ops =
-  match Sys.getenv_opt "ENGINE_PERF_SHARDED_OPS" with
-  | Some s -> ( match int_of_string_opt s with Some n -> max 1 n | None -> 400)
-  | None -> 400
 
 let wall f =
   let t0 = Unix.gettimeofday () in
@@ -154,114 +130,6 @@ let json_field name m =
      %.0f, \"events_per_sec_queued\": %.0f, \"speedup\": %.3f}"
     name m.events m.final m.eps_fast m.eps_slow m.speedup
 
-(* ---- PDES shard-scaling curve ---- *)
-
-type pmeas = { st : Sim.Shard.stats; eps : float }
-
-let pdes_counters (s : Sim.Shard.stats) =
-  (s.events, s.final_cycles, s.cross_posts, s.windows)
-
-let pdes_check what a b =
-  let (ea, ta, pa, wa) = pdes_counters a and (eb, tb, pb, wb) = pdes_counters b in
-  if (ea, ta, pa, wa) <> (eb, tb, pb, wb) then
-    failures :=
-      Printf.sprintf
-        "%s: (ev %d, cy %Ld, posts %d, win %d) vs (ev %d, cy %Ld, posts %d, win %d)"
-        what ea ta pa wa eb tb pb wb
-      :: !failures
-
-let pdes_measure p ~shards =
-  let free1 = Experiments.Pdes_bench.run ~shards ~p () in
-  let free2 = Experiments.Pdes_bench.run ~shards ~p () in
-  let det = Experiments.Pdes_bench.run ~deterministic:true ~shards ~p () in
-  pdes_check (Printf.sprintf "pdes shards=%d repeat" shards) free1 free2;
-  pdes_check (Printf.sprintf "pdes shards=%d det-vs-free" shards) free1 det;
-  let best = if free2.run_wall_s < free1.run_wall_s then free2 else free1 in
-  { st = best; eps = float_of_int best.events /. best.run_wall_s }
-
-let pdes_report n m =
-  Printf.printf
-    "pdes %d shard(s)          %9d events  end %12Ld cy  %5d windows  %6d cross  %7.2f Mev/s\n%!"
-    n m.st.events m.st.final_cycles m.st.windows m.st.cross_posts (meps m.eps)
-
-let int_array a =
-  String.concat ", " (Array.to_list (Array.map string_of_int a))
-
-let pdes_json n m =
-  Printf.sprintf
-    "  \"shards%d\": {\"events\": %d, \"final_cycles\": %Ld, \"cross_posts\": \
-     %d, \"windows\": %d, \"shard_events\": [%s], \"shard_drains\": [%s], \
-     \"events_per_sec.wall\": %.0f}"
-    n m.st.events m.st.final_cycles m.st.cross_posts m.st.windows
-    (int_array m.st.shard_events) (int_array m.st.shard_drains) m.eps
-
-(* ---- sharded experiment curve (Experiments.Sharded, fig5 shape) ----
-
-   Same discipline as the pdes curve, on the shard-owned partitioned
-   cache stack: free-running twice + deterministic once per shard count.
-   At a fixed shard count EVERYTHING is deterministic, including
-   cross_posts and the per-shard balance counters, so the per-count gate
-   compares those too; across shard counts only the invariant signature
-   (partition counters + events/final_cycles/windows) must match. *)
-
-type smeas = { sst : Sim.Shard.stats; shub : Experiments.Shard_stack.stats; seps : float }
-
-let sharded_sig (st : Sim.Shard.stats) ss =
-  Printf.sprintf "%s ev=%d cy=%Ld win=%d"
-    (Experiments.Shard_stack.stats_to_string ss)
-    st.Sim.Shard.events st.Sim.Shard.final_cycles st.Sim.Shard.windows
-
-let sharded_sig_n (st : Sim.Shard.stats) ss =
-  Printf.sprintf "%s posts=%d ev=[%s] dr=[%s]" (sharded_sig st ss)
-    st.Sim.Shard.cross_posts
-    (int_array st.Sim.Shard.shard_events)
-    (int_array st.Sim.Shard.shard_drains)
-
-let sig_check what a b =
-  if a <> b then
-    failures := Printf.sprintf "%s: %s vs %s" what a b :: !failures
-
-let sharded_measure p ~shards =
-  let go ?deterministic () =
-    Experiments.Sharded.run ?deterministic ~shards ~p ()
-  in
-  let st1, ss1 = go () in
-  let st2, ss2 = go () in
-  let st3, ss3 = go ~deterministic:true () in
-  sig_check
-    (Printf.sprintf "sharded shards=%d repeat" shards)
-    (sharded_sig_n st1 ss1) (sharded_sig_n st2 ss2);
-  sig_check
-    (Printf.sprintf "sharded shards=%d det-vs-free" shards)
-    (sharded_sig_n st1 ss1) (sharded_sig_n st3 ss3);
-  let best =
-    if st2.Sim.Shard.run_wall_s < st1.Sim.Shard.run_wall_s then st2 else st1
-  in
-  {
-    sst = best;
-    shub = ss1;
-    seps = float_of_int best.Sim.Shard.events /. best.Sim.Shard.run_wall_s;
-  }
-
-let sharded_report n m =
-  Printf.printf
-    "sharded %d shard(s)       %9d events  end %12Ld cy  %5d windows  %6d cross  %7.2f Mev/s\n%!"
-    n m.sst.Sim.Shard.events m.sst.Sim.Shard.final_cycles
-    m.sst.Sim.Shard.windows m.sst.Sim.Shard.cross_posts (meps m.seps)
-
-let sharded_json n m =
-  Printf.sprintf
-    "  \"sharded%d\": {\"events\": %d, \"final_cycles\": %Ld, \"cross_posts\": \
-     %d, \"windows\": %d, \"hits\": %d, \"misses\": %d, \"shard_events\": \
-     [%s], \"shard_drains\": [%s], \"events_per_sec.wall\": %.0f}"
-    n m.sst.Sim.Shard.events m.sst.Sim.Shard.final_cycles
-    m.sst.Sim.Shard.cross_posts m.sst.Sim.Shard.windows
-    m.shub.Experiments.Shard_stack.counters.Mcache.Partition.fault_hits
-    m.shub.Experiments.Shard_stack.counters.Mcache.Partition.misses
-    (int_array m.sst.Sim.Shard.shard_events)
-    (int_array m.sst.Sim.Shard.shard_drains)
-    m.seps
-
 let () =
   Printf.printf "=== engine_perf: DES hot-path throughput (iters=%d) ===\n%!" iters;
   let loop = measure "fault_loop" (fun ~fastpath () -> fault_loop ~fastpath ()) in
@@ -270,91 +138,6 @@ let () =
   report "aquila stack, 1 thread" aq1;
   let aq16 = measure "aquila_t16" (fun ~fastpath () -> aquila_micro ~fastpath ~threads:16 ()) in
   report "aquila stack, 16 threads" aq16;
-  Printf.printf "=== engine_perf: PDES shard scaling (ops/core=%d, cores=%d) ===\n%!"
-    pdes_ops Experiments.Pdes_bench.default.cores;
-  let p = { Experiments.Pdes_bench.default with ops_per_core = pdes_ops } in
-  let curve = List.map (fun n -> (n, pdes_measure p ~shards:n)) [ 1; 2; 4; 8 ] in
-  List.iter (fun (n, m) -> pdes_report n m) curve;
-  (* the virtual-time outcome must also be invariant across shard counts
-     — same workload, same schedule, different partition.  cross_posts
-     legitimately varies with the partition (an intra-shard IPI at n=1
-     is cross-shard at n=4), so it is gated per shard count above but
-     excluded here. *)
-  (match curve with
-  | (_, base) :: rest ->
-      List.iter
-        (fun (n, m) ->
-          if
-            (base.st.events, base.st.final_cycles, base.st.windows)
-            <> (m.st.events, m.st.final_cycles, m.st.windows)
-          then
-            failures :=
-              Printf.sprintf
-                "pdes shards=%d vs shards=1: (ev %d, cy %Ld, win %d) vs (ev \
-                 %d, cy %Ld, win %d)"
-                n m.st.events m.st.final_cycles m.st.windows base.st.events
-                base.st.final_cycles base.st.windows
-              :: !failures)
-        rest
-  | [] -> ());
-  let speedup4 =
-    let e1 = (List.assoc 1 curve).eps and e4 = (List.assoc 4 curve).eps in
-    e4 /. e1
-  in
-  Printf.printf "pdes speedup at 4 shards: %.2fx\n%!" speedup4;
-  (* the shard-owned experiment stack (Experiments.Sharded): the same
-     free x2 + deterministic x1 discipline, plus the partition counters
-     in the gated signature *)
-  Printf.printf
-    "=== engine_perf: sharded experiment scaling (ops/core=%d, cores=%d, \
-     homes=%d) ===\n%!"
-    sharded_ops Experiments.Sharded.fig5_params.Experiments.Sharded.cores
-    Experiments.Sharded.fig5_params.Experiments.Sharded.homes;
-  let sp =
-    { Experiments.Sharded.fig5_params with ops_per_core = sharded_ops }
-  in
-  let scurve = List.map (fun n -> (n, sharded_measure sp ~shards:n)) [ 1; 2; 4; 8 ] in
-  List.iter (fun (n, m) -> sharded_report n m) scurve;
-  (match scurve with
-  | (_, base) :: rest ->
-      List.iter
-        (fun (n, m) ->
-          sig_check
-            (Printf.sprintf "sharded shards=%d vs shards=1" n)
-            (sharded_sig base.sst base.shub)
-            (sharded_sig m.sst m.shub))
-        rest
-  | [] -> ());
-  let sharded_speedup4 =
-    let e1 = (List.assoc 1 scurve).seps and e4 = (List.assoc 4 scurve).seps in
-    e4 /. e1
-  in
-  Printf.printf "sharded speedup at 4 shards: %.2fx\n%!" sharded_speedup4;
-  (* >= 3x floor on 4-shard free-running, enforced per workload where
-     the hardware can express it *)
-  (match Sys.getenv_opt "ENGINE_PERF_MIN_SPEEDUP4" with
-  | None -> ()
-  | Some s ->
-      let floor = try float_of_string s with _ -> 3.0 in
-      let cores = Domain.recommended_domain_count () in
-      if cores < 4 then
-        Printf.printf
-          "speedup floor skipped: %d core(s) available, need >= 4\n%!" cores
-      else
-        List.iter
-          (fun (what, sp4) ->
-            if sp4 < floor then begin
-              Printf.printf
-                "%s SCALING FAIL: %.2fx at 4 shards, floor %.2fx (%d cores)\n%!"
-                (String.uppercase_ascii what) sp4 floor cores;
-              failures :=
-                Printf.sprintf "%s speedup4 %.2f < floor %.2f" what sp4 floor
-                :: !failures
-            end
-            else
-              Printf.printf "%s speedup floor ok: %.2fx >= %.2fx\n%!" what sp4
-                floor)
-          [ ("pdes", speedup4); ("sharded", sharded_speedup4) ]);
   let ok = !failures = [] in
   let oc = open_out "BENCH_engine.json" in
   Printf.fprintf oc "{\n  \"bench\": \"engine_perf\",\n  \"iters\": %d,\n%s,\n%s,\n%s,\n  \"determinism\": %s\n}\n"
@@ -365,22 +148,9 @@ let () =
     (if ok then "\"ok\"" else "\"FAIL\"");
   close_out oc;
   Printf.printf "wrote BENCH_engine.json\n";
-  let oc = open_out "BENCH_pdes.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"pdes_scaling\",\n  \"ops_per_core\": %d,\n  \
-     \"sharded_ops_per_core\": %d,\n%s,\n%s,\n  \"speedup4.wall\": %.3f,\n  \
-     \"sharded_speedup4.wall\": %.3f,\n  \"determinism\": %s\n}\n"
-    pdes_ops sharded_ops
-    (String.concat ",\n" (List.map (fun (n, m) -> pdes_json n m) curve))
-    (String.concat ",\n" (List.map (fun (n, m) -> sharded_json n m) scurve))
-    speedup4 sharded_speedup4
-    (if ok then "\"ok\"" else "\"FAIL\"");
-  close_out oc;
-  Printf.printf "wrote BENCH_pdes.json\n";
   if not ok then begin
     List.iter (Printf.printf "DETERMINISM FAIL %s\n") !failures;
     exit 1
   end;
   Printf.printf
-    "determinism: ok (counters identical across fastpath, repetition, shard \
-     count, and det/free mode)\n"
+    "determinism: ok (counters identical across fastpath and repetition)\n"

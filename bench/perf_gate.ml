@@ -167,11 +167,9 @@ let dir_of key =
     match leaf key with
     | "vtime_per_op" | "misses" | "evictions" | "wb_pages" | "final_cycles" ->
         Some Lower
-    (* PDES scaling curve (BENCH_pdes.json) and engine workloads: event
-       totals, cross-shard deliveries and barrier windows are exact
-       functions of the schedule — more of any of them is a regression
-       (events_per_sec / speedup carry ".wall" and stay advisory). *)
-    | "events" | "cross_posts" | "windows" -> Some Lower
+    (* engine workloads (BENCH_engine.json): event totals are exact
+       functions of the schedule — more events is a regression. *)
+    | "events" -> Some Lower
     | "hit_rate" -> Some Higher
     (* aqmetrics families (BENCH_metrics.json, labelled series).  All are
        deterministic virtual counters; engine_events_fast is deliberately

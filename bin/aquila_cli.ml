@@ -106,29 +106,6 @@ let fault_spec_of plan crash_at =
       | Some at -> Some { spec with Fault.Plan.crash_at = Some at })
     base
 
-let shards_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:"Run the shard-partitioned experiments ($(b,fig5s), \
-              $(b,fig10s), $(b,crashs)) as a $(docv)-shard cluster, one \
-              OCaml domain per shard (DESIGN.md section 10).  Every other \
-              experiment has one engine and ignores it.  Contrast with \
-              $(b,--jobs), which fans out across independent experiments.")
-
-let deterministic_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "deterministic" ]
-        ~doc:"Run the shard-partitioned experiments ($(b,fig5s), \
-              $(b,fig10s), $(b,crashs)) in deterministic merge mode — one \
-              domain replaying the shards in global (time, seq) order — \
-              instead of free-running across OCaml domains.  Terminal \
-              stats are byte-identical either way (the CI parity gates \
-              compare them).  Every other experiment ignores it.")
-
 let run_cmd =
   let doc = "Run one experiment (or 'all')." in
   let id =
@@ -137,16 +114,13 @@ let run_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"ID" ~doc:"Experiment id (see 'list'), or 'all'.")
   in
-  let run id trace_out jobs shards deterministic plan crash_at policy
-      metrics_out =
+  let run id trace_out jobs plan crash_at policy metrics_out =
     match (resolve id, fault_spec_of plan crash_at) with
     | Error msg, _ -> `Error (false, msg)
     | _, Error msg -> `Error (true, "--fault-plan: " ^ msg)
     | Ok _, _ when jobs < 1 -> `Error (true, "--jobs must be >= 1")
-    | Ok _, _ when shards < 1 -> `Error (true, "--shards must be >= 1")
     | Ok entries, Ok fault ->
         Experiments.Scenario.set_policy policy;
-        Experiments.Sharded.set_mode ~shards ~deterministic;
         (* The ambient tracer is domain-local: worker domains would record
            nothing, so tracing forces a sequential run. *)
         let jobs =
@@ -164,9 +138,8 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       ret
-        (const run $ id $ trace_out_arg $ jobs_arg $ shards_arg
-       $ deterministic_arg $ fault_plan_arg $ crash_at_arg $ policy_arg
-       $ metrics_out_arg))
+        (const run $ id $ trace_out_arg $ jobs_arg $ fault_plan_arg
+       $ crash_at_arg $ policy_arg $ metrics_out_arg))
 
 let trace_cmd =
   let doc = "Run an experiment under the tracer and export the trace." in
@@ -637,18 +610,16 @@ let report_cmd =
       & info [ "timeseries-period" ] ~docv:"CYCLES"
           ~doc:"Timeseries sampling period in virtual cycles.")
   in
-  let run id jobs shards deterministic plan crash_at policy metrics_out
-      families profile sample_period timeseries ts_period =
+  let run id jobs plan crash_at policy metrics_out families profile
+      sample_period timeseries ts_period =
     match (resolve id, fault_spec_of plan crash_at) with
     | Error msg, _ -> `Error (false, msg)
     | _, Error msg -> `Error (true, "--fault-plan: " ^ msg)
     | Ok _, _ when jobs < 1 -> `Error (true, "--jobs must be >= 1")
-    | Ok _, _ when shards < 1 -> `Error (true, "--shards must be >= 1")
     | Ok _, _ when sample_period <= 0 || ts_period <= 0 ->
         `Error (true, "--sample-period and --timeseries-period must be > 0")
     | Ok entries, Ok fault ->
         Experiments.Scenario.set_policy policy;
-        Experiments.Sharded.set_mode ~shards ~deterministic;
         let profiling = profile <> None || timeseries <> None in
         (* The profiler is domain-local, like the tracer. *)
         let jobs =
@@ -690,9 +661,9 @@ let report_cmd =
     (Cmd.info "report" ~doc ~man)
     Term.(
       ret
-        (const run $ id $ jobs_arg $ shards_arg $ deterministic_arg
-       $ fault_plan_arg $ crash_at_arg $ policy_arg $ metrics_out_arg
-       $ families $ profile $ sample_period $ timeseries $ ts_period))
+        (const run $ id $ jobs_arg $ fault_plan_arg $ crash_at_arg
+       $ policy_arg $ metrics_out_arg $ families $ profile $ sample_period
+       $ timeseries $ ts_period))
 
 let () =
   let doc = "Reproduction harness for 'Memory-Mapped I/O on Steroids' (EuroSys '21)" in

@@ -12,33 +12,20 @@
 type t
 type blob
 
-val create : capacity_pages:int -> ?cluster_pages:int -> ?shards:int -> unit -> t
+val create : capacity_pages:int -> ?cluster_pages:int -> unit -> t
 (** [create ~capacity_pages ()] manages a device of that many pages.
-    [cluster_pages] defaults to 256 (1 MiB clusters).  [shards] (default
-    1) partitions the free-cluster pool by [cluster mod shards]: a
-    shard-owned driver allocates blobs on its own partition
-    ({!create_blob}'s [?shard]) and frees return each cluster to its
-    static owner, so the allocator is not shared state in partitioned
-    runs.  [shards = 1] is byte-identical to the unsharded store. *)
+    [cluster_pages] defaults to 256 (1 MiB clusters).  Free clusters
+    form one list, ascending at creation; freed clusters are reused
+    first. *)
 
 val cluster_pages : t -> int
 val capacity_pages : t -> int
 val free_pages : t -> int
 
-val shards : t -> int
-
-val shard_free_pages : t -> int -> int
-(** [shard_free_pages t s] is shard [s]'s remaining partition, in pages
-    (sums to {!free_pages}). *)
-
-val create_blob : t -> ?name:string -> ?shard:int -> pages:int -> unit -> blob
+val create_blob : t -> ?name:string -> pages:int -> unit -> blob
 (** [create_blob t ~pages ()] allocates a blob with room for [pages]
-    pages (rounded up to whole clusters).  [shard] (default 0) selects
-    the free-list partition clusters are preferred from; an exhausted
-    partition falls back to stealing from the others in ascending
-    [(shard + k) mod shards] order — deterministic, so allocation stays
-    a pure function of store history at any shard count.  Raises
-    [Failure] when the whole store is full. *)
+    pages (rounded up to whole clusters), taking clusters from the head
+    of the free list.  Raises [Failure] when the store is full. *)
 
 val open_blob : t -> int -> blob
 (** [open_blob t id] finds an existing blob.  Raises [Not_found]. *)
@@ -46,10 +33,6 @@ val open_blob : t -> int -> blob
 val blob_id : blob -> int
 val blob_name : blob -> string option
 val blob_pages : blob -> int
-
-val blob_shard : blob -> int
-(** The allocation shard passed at {!create_blob}; {!resize} growth
-    prefers the same partition. *)
 
 val resize : t -> blob -> pages:int -> unit
 (** [resize t b ~pages] grows or shrinks [b]. *)

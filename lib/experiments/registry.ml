@@ -19,24 +19,6 @@ let all =
     { id = "fig9"; title = "Kreon kmmap vs Aquila, YCSB A-F"; run = Fig9.run };
     { id = "fig10a"; title = "Scalability, dataset fits in memory"; run = Fig10.run_a };
     { id = "fig10b"; title = "Scalability, dataset 12.5x memory"; run = Fig10.run_b };
-    (* Free-running shard-partitioned variants: honour the CLI's
-       --shards/--deterministic through Sharded.set_mode; terminal stats
-       are invariant across both. *)
-    {
-      id = "fig5s";
-      title = "Shard-partitioned uniform reads, out of memory (free-running)";
-      run = Sharded.run_fig5s;
-    };
-    {
-      id = "fig10s";
-      title = "Shard-partitioned zipf reads, dataset fits (free-running)";
-      run = Sharded.run_fig10s;
-    };
-    {
-      id = "crashs";
-      title = "Shard-partitioned writes + msync with a mid-run power loss";
-      run = Sharded.run_crashcheck;
-    };
     {
       id = "cluster";
       title = "Replicated aqcluster, YCSB A over 5 nodes x 3 replicas";

@@ -63,14 +63,6 @@ let default =
     sched_wakeup = 2000L;
   }
 
-(* Conservative-PDES lookahead (DESIGN.md §9): the minimum virtual-time
-   distance at which one shard of the simulation can affect another.
-   The cheapest cross-core channel in the model is a posted IPI —
-   send-side cost plus delivery — so no cross-shard event can land
-   sooner than this after its cause, and shards may safely free-run a
-   window of this width past the global minimum next-event time. *)
-let min_cross_shard_latency c = Int64.add c.ipi_send_posted c.ipi_receive
-
 let memcpy_4k c ~simd =
   if simd then Int64.add c.memcpy_4k_avx2 c.fpu_save_restore
   else c.memcpy_4k_scalar

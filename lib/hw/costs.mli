@@ -61,17 +61,6 @@ type t = {
 val default : t
 (** The calibrated model described above. *)
 
-val min_cross_shard_latency : t -> int64
-(** [min_cross_shard_latency c] is the smallest virtual-time distance at
-    which one simulation shard can affect another — the posted-IPI
-    send + receive cost ([298 + 500] cycles in {!default}), the
-    cheapest cross-core channel in the model.  Conservative-parallel
-    runs ([Sim.Shard]) use it as the lookahead floor: between barriers
-    each shard may run this many cycles past the cluster's minimum
-    next-event time without missing a cross-shard event.  Workloads
-    whose only cross-shard traffic is coarser (e.g. NVMe completions,
-    [setup_cycles] >= 2400) may declare a larger lookahead. *)
-
 val memcpy_4k : t -> simd:bool -> int64
 (** [memcpy_4k c ~simd] is the cost of one 4 KiB copy.  With [simd] the
     AVX2 streaming cost applies {e plus} the FPU save/restore that a fault

@@ -7,7 +7,6 @@ type config = {
   readahead : int;
   reclaim_batch : int;
   writeback_merge : int;
-  tree_shards : int;
 }
 
 let default_config ~frames =
@@ -16,7 +15,6 @@ let default_config ~frames =
     readahead = 32;
     reclaim_batch = 32;
     writeback_merge = 64;
-    tree_shards = 1;
   }
 
 type frame = {
@@ -27,32 +25,15 @@ type frame = {
   mutable dirty : bool;
 }
 
-(* Per-file index state, split [tree_shards] ways by page (page mod
-   tree_shards): each slot owns a radix subtree, its serializing lock and
-   its dirty tags, so shard-partitioned workloads touch disjoint slots
-   and the tree_lock stops being the global serialization point —
-   which turns Fig. 5(b)'s contention from lock waiting into measurable
-   cross-shard traffic.  [tree_shards = 1] (the default, and the 4.14
-   model) is the single tree + single tree_lock the paper profiles. *)
+(* Per-file index state, as in 4.14: one radix tree, the single
+   [tree_lock] serializing its updates, and the dirty tags. *)
 type file_meta = {
-  trees : frame Dstruct.Radix_tree.t array;
-  tree_locks : Sim.Sync.Mutex.t array;
-  dirty_tags : (int, unit) Hashtbl.t array; (* file pages tagged dirty *)
+  tree : frame Dstruct.Radix_tree.t;
+  tree_lock : Sim.Sync.Mutex.t;
+  dirty_tags : (int, unit) Hashtbl.t; (* file pages tagged dirty *)
   access : Sdevice.Access.t;
   translate : int -> int option;
 }
-
-let tslot m page =
-  let n = Array.length m.trees in
-  if n = 1 then 0
-  else begin
-    let s = page mod n in
-    if s < 0 then s + n else s
-  end
-
-let tree_of m page = m.trees.(tslot m page)
-let tlock_of m page = m.tree_locks.(tslot m page)
-let tags_of m page = m.dirty_tags.(tslot m page)
 
 type t = {
   costs : Hw.Costs.t;
@@ -133,17 +114,12 @@ let create ~costs ~machine ~page_table cfg =
   t
 
 let register_file t ~file_id ~access ~translate =
-  let n = max 1 t.cfg.tree_shards in
-  let lock_name s =
-    if n = 1 then Printf.sprintf "tree_lock[%d]" file_id
-    else Printf.sprintf "tree_lock[%d.%d]" file_id s
-  in
   Hashtbl.replace t.files file_id
     {
-      trees = Array.init n (fun _ -> Dstruct.Radix_tree.create ());
-      tree_locks =
-        Array.init n (fun s -> Sim.Sync.Mutex.create ~name:(lock_name s) ());
-      dirty_tags = Array.init n (fun _ -> Hashtbl.create 64);
+      tree = Dstruct.Radix_tree.create ();
+      tree_lock =
+        Sim.Sync.Mutex.create ~name:(Printf.sprintf "tree_lock[%d]" file_id) ();
+      dirty_tags = Hashtbl.create 64;
       access;
       translate;
     }
@@ -162,7 +138,7 @@ let lookup t key =
   let m = meta_of t (Pagekey.file_of key) in
   delay_sys ~label:"index" t.costs.Hw.Costs.radix_lookup;
   let page = Pagekey.page_of key in
-  Dstruct.Radix_tree.find (tree_of m page) page
+  Dstruct.Radix_tree.find m.tree page
 
 let shootdown_vpns t ~core vpns =
   match vpns with
@@ -249,13 +225,12 @@ let retag_dirty t failed =
   List.iter
     (fun (key, (fr : frame)) ->
       let m = meta_of t (Pagekey.file_of key) in
-      let page = Pagekey.page_of key in
-      Sim.Sync.Mutex.lock (tlock_of m page);
+      Sim.Sync.Mutex.lock m.tree_lock;
       if not fr.dirty then begin
         fr.dirty <- true;
-        Hashtbl.replace (tags_of m page) page ()
+        Hashtbl.replace m.dirty_tags (Pagekey.page_of key) ()
       end;
-      Sim.Sync.Mutex.unlock (tlock_of m page))
+      Sim.Sync.Mutex.unlock m.tree_lock)
     failed
 
 (* Direct reclaim by the faulting thread: scan the global LRU under
@@ -280,17 +255,17 @@ let reclaim t ~core =
         let key = fr.key in
         let m = meta_of t (Pagekey.file_of key) in
         let page = Pagekey.page_of key in
-        Sim.Sync.Mutex.lock (tlock_of m page);
+        Sim.Sync.Mutex.lock m.tree_lock;
         (* re-check under the lock *)
         if fr.key = key && not (Dstruct.Clock_lru.is_referenced t.lru fno) then begin
-          ignore (Dstruct.Radix_tree.remove (tree_of m page) page);
+          ignore (Dstruct.Radix_tree.remove m.tree page);
           delay_sys ~label:"index" c.radix_update;
           (* object-based reverse-mapping walk to find the PTEs — the CPU
              cost FastMap [50] replaces with full reverse mappings *)
           delay_sys ~label:"evict" 900L;
           let was_dirty = fr.dirty in
           if was_dirty then begin
-            Hashtbl.remove (tags_of m page) page;
+            Hashtbl.remove m.dirty_tags page;
             fr.dirty <- false
           end;
           let iv =
@@ -301,11 +276,11 @@ let reclaim t ~core =
             end
             else None
           in
-          Sim.Sync.Mutex.unlock (tlock_of m page);
+          Sim.Sync.Mutex.unlock m.tree_lock;
           torn := (key, fr, iv) :: !torn
         end
         else begin
-          Sim.Sync.Mutex.unlock (tlock_of m page);
+          Sim.Sync.Mutex.unlock m.tree_lock;
           Dstruct.Clock_lru.set_active t.lru fno true
         end
       end)
@@ -390,7 +365,7 @@ let fill t ~core ~key =
     match m.translate p with
     | Some d
       when d = dev + !n
-           && (not (Dstruct.Radix_tree.mem (tree_of m p) p))
+           && (not (Dstruct.Radix_tree.mem m.tree p))
            && not (Hashtbl.mem t.inflight k) ->
         let fr = alloc_frame t ~core 0 in
         let iv = Sim.Sync.Ivar.create () in
@@ -433,13 +408,12 @@ let fill t ~core ~key =
       fr.key <- k;
       fr.dirty <- false;
       fr.vpn <- -1;
-      let kp = Pagekey.page_of k in
-      Sim.Sync.Mutex.lock (tlock_of m kp);
-      ignore (Dstruct.Radix_tree.insert (tree_of m kp) kp fr);
+      Sim.Sync.Mutex.lock m.tree_lock;
+      ignore (Dstruct.Radix_tree.insert m.tree (Pagekey.page_of k) fr);
       (* radix insert plus memcg charge + node accounting, all under the
          lock, as in 4.14's add_to_page_cache_lru *)
       delay_sys ~label:"index" (Int64.add c.radix_update 600L);
-      Sim.Sync.Mutex.unlock (tlock_of m kp);
+      Sim.Sync.Mutex.unlock m.tree_lock;
       Sim.Sync.Mutex.lock t.lru_lock;
       Dstruct.Clock_lru.set_active t.lru fr.fno true;
       Dstruct.Clock_lru.touch t.lru fr.fno;
@@ -456,20 +430,16 @@ let fill t ~core ~key =
   match window with (_, _, fr) :: _ -> fr | [] -> assert false
 
 let total_dirty t =
-  Hashtbl.fold
-    (fun _ m acc ->
-      Array.fold_left (fun a tags -> a + Hashtbl.length tags) acc m.dirty_tags)
-    t.files 0
+  Hashtbl.fold (fun _ m acc -> acc + Hashtbl.length m.dirty_tags) t.files 0
 
 let set_dirty t key (fr : frame) =
   let m = meta_of t (Pagekey.file_of key) in
   if not fr.dirty then begin
-    let page = Pagekey.page_of key in
-    Sim.Sync.Mutex.lock (tlock_of m page);
+    Sim.Sync.Mutex.lock m.tree_lock;
     fr.dirty <- true;
-    Hashtbl.replace (tags_of m page) page ();
+    Hashtbl.replace m.dirty_tags (Pagekey.page_of key) ();
     delay_sys ~label:"dirty" t.costs.Hw.Costs.radix_update;
-    Sim.Sync.Mutex.unlock (tlock_of m page);
+    Sim.Sync.Mutex.unlock m.tree_lock;
     if Trace.on () then
       Sim.Probe.counter ~cat:"linux" "dirty_pages"
         (Int64.of_int (total_dirty t));
@@ -538,7 +508,7 @@ let buffered_read t ~core ~key =
 let set_dirty_key t ~key =
   let m = meta_of t (Pagekey.file_of key) in
   let page = Pagekey.page_of key in
-  match Dstruct.Radix_tree.find (tree_of m page) page with
+  match Dstruct.Radix_tree.find m.tree page with
   | Some fr -> set_dirty t key fr
   | None -> ()
 
@@ -547,36 +517,26 @@ let pfn_data t pfn = t.arr.(pfn).data
 let is_resident t ~key =
   let m = meta_of t (Pagekey.file_of key) in
   let page = Pagekey.page_of key in
-  Dstruct.Radix_tree.mem (tree_of m page) page
+  Dstruct.Radix_tree.mem m.tree page
 
 let msync_file t ~core ~file_id =
   let c = t.costs in
   let m = meta_of t file_id in
-  (* One lock acquisition per slot per msync (ascending slot order) keeps
-     [tree_shards = 1] byte-identical to the single-tree model. *)
+  Sim.Sync.Mutex.lock m.tree_lock;
+  let pages = Hashtbl.fold (fun p () acc -> p :: acc) m.dirty_tags [] in
   let pairs =
-    List.concat
-      (List.init (Array.length m.trees) (fun s ->
-           let lock = m.tree_locks.(s)
-           and tree = m.trees.(s)
-           and tags = m.dirty_tags.(s) in
-           Sim.Sync.Mutex.lock lock;
-           let pages = Hashtbl.fold (fun p () acc -> p :: acc) tags [] in
-           let pairs =
-             List.filter_map
-               (fun p ->
-                 match Dstruct.Radix_tree.find tree p with
-                 | Some fr when fr.dirty ->
-                     fr.dirty <- false;
-                     Hashtbl.remove tags p;
-                     delay_sys ~label:"dirty" c.radix_update;
-                     Some (Pagekey.make ~file:file_id ~page:p, fr)
-                 | _ -> None)
-               (List.sort compare pages)
-           in
-           Sim.Sync.Mutex.unlock lock;
-           pairs))
+    List.filter_map
+      (fun p ->
+        match Dstruct.Radix_tree.find m.tree p with
+        | Some fr when fr.dirty ->
+            fr.dirty <- false;
+            Hashtbl.remove m.dirty_tags p;
+            delay_sys ~label:"dirty" c.radix_update;
+            Some (Pagekey.make ~file:file_id ~page:p, fr)
+        | _ -> None)
+      (List.sort compare pages)
   in
+  Sim.Sync.Mutex.unlock m.tree_lock;
   (* write-protect so future writes re-tag *)
   let vpns =
     List.filter_map
@@ -597,22 +557,16 @@ let drop_file t ~core ~file_id =
   let c = t.costs in
   msync_file t ~core ~file_id;
   let m = meta_of t file_id in
+  Sim.Sync.Mutex.lock m.tree_lock;
   let entries =
-    List.concat
-      (List.init (Array.length m.trees) (fun s ->
-           let lock = m.tree_locks.(s) and tree = m.trees.(s) in
-           Sim.Sync.Mutex.lock lock;
-           let entries =
-             Dstruct.Radix_tree.fold (fun p fr acc -> (p, fr) :: acc) tree []
-           in
-           List.iter
-             (fun (p, _) ->
-               ignore (Dstruct.Radix_tree.remove tree p);
-               delay_sys ~label:"index" c.radix_update)
-             entries;
-           Sim.Sync.Mutex.unlock lock;
-           entries))
+    Dstruct.Radix_tree.fold (fun p fr acc -> (p, fr) :: acc) m.tree []
   in
+  List.iter
+    (fun (p, _) ->
+      ignore (Dstruct.Radix_tree.remove m.tree p);
+      delay_sys ~label:"index" c.radix_update)
+    entries;
+  Sim.Sync.Mutex.unlock m.tree_lock;
   let vpns =
     List.filter_map
       (fun (_, (fr : frame)) ->
@@ -645,27 +599,23 @@ let flush_some t ~core ~batch =
   let taken = ref [] in
   Hashtbl.iter
     (fun file_id m ->
-      Array.iteri
-        (fun s tags ->
-          if List.length !taken < batch then begin
-            let lock = m.tree_locks.(s) and tree = m.trees.(s) in
-            Sim.Sync.Mutex.lock lock;
-            let pages = Hashtbl.fold (fun p () acc -> p :: acc) tags [] in
-            let pages = List.sort compare pages in
-            List.iteri
-              (fun i p ->
-                if i < batch - List.length !taken then
-                  match Dstruct.Radix_tree.find tree p with
-                  | Some fr when fr.dirty ->
-                      fr.dirty <- false;
-                      Hashtbl.remove tags p;
-                      delay_sys ~label:"dirty" t.costs.Hw.Costs.radix_update;
-                      taken := (Pagekey.make ~file:file_id ~page:p, fr) :: !taken
-                  | _ -> Hashtbl.remove tags p)
-              pages;
-            Sim.Sync.Mutex.unlock lock
-          end)
-        m.dirty_tags)
+      if List.length !taken < batch then begin
+        Sim.Sync.Mutex.lock m.tree_lock;
+        let pages = Hashtbl.fold (fun p () acc -> p :: acc) m.dirty_tags [] in
+        let pages = List.sort compare pages in
+        List.iteri
+          (fun i p ->
+            if i < batch - List.length !taken then
+              match Dstruct.Radix_tree.find m.tree p with
+              | Some fr when fr.dirty ->
+                  fr.dirty <- false;
+                  Hashtbl.remove m.dirty_tags p;
+                  delay_sys ~label:"dirty" t.costs.Hw.Costs.radix_update;
+                  taken := (Pagekey.make ~file:file_id ~page:p, fr) :: !taken
+              | _ -> Hashtbl.remove m.dirty_tags p)
+          pages;
+        Sim.Sync.Mutex.unlock m.tree_lock
+      end)
     t.files;
   let pairs = !taken in
   (* write-protect so later stores re-dirty *)
@@ -720,10 +670,7 @@ let sigbus_count t = t.s_sigbus
 
 let tree_lock_contended t =
   Hashtbl.fold
-    (fun _ m acc ->
-      Array.fold_left
-        (fun a l -> Int64.add a (Sim.Sync.Mutex.contended_cycles l))
-        acc m.tree_locks)
+    (fun _ m acc -> Int64.add acc (Sim.Sync.Mutex.contended_cycles m.tree_lock))
     t.files 0L
 
 let lru_lock_contended t = Sim.Sync.Mutex.contended_cycles t.lru_lock

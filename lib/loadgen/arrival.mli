@@ -56,6 +56,6 @@ val shaped : shape -> rate:float -> horizon:int -> process
 val generate : seed:int -> horizon:int -> process -> int array
 (** [generate ~seed ~horizon p] is the strictly increasing array of
     arrival times in cycles, each in [\[1, horizon)].  Pure: equal
-    arguments give equal arrays, independent of any ambient engine,
-    shard or domain state.  Raises [Invalid_argument] on non-positive
+    arguments give equal arrays, independent of any ambient engine or
+    domain state.  Raises [Invalid_argument] on non-positive
     rates (an all-zero MMPP mix included) or dwell/period parameters. *)

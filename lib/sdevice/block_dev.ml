@@ -4,7 +4,6 @@ type t = {
   dname : string;
   qd_name : string; (* precomputed counter label: no allocation per event *)
   dstore : Pagestore.t;
-  q_subs : int array; (* submissions per SQ; SQ = submitting core mod queues *)
   channels : Sim.Sync.Resource.t;
   setup : int64;
   per_byte : float;
@@ -25,15 +24,12 @@ type t = {
   m_qdepth : Metrics.Registry.hcell;
 }
 
-let create ?(queues = 1) ~name ~channels ~setup_cycles ~cycles_per_byte
-    ~capacity_bytes () =
-  if queues < 1 then invalid_arg (name ^ ": queues must be >= 1");
+let create ~name ~channels ~setup_cycles ~cycles_per_byte ~capacity_bytes () =
   let labels = [ ("dev", name) ] in
   {
     dname = name;
     qd_name = name ^ ":queue_depth";
     dstore = Pagestore.create ();
-    q_subs = Array.make queues 0;
     channels = Sim.Sync.Resource.create ~name ~capacity:channels ();
     setup = setup_cycles;
     per_byte = cycles_per_byte;
@@ -66,7 +62,6 @@ let create ?(queues = 1) ~name ~channels ~setup_cycles ~cycles_per_byte
 let name t = t.dname
 let store t = t.dstore
 let capacity_bytes t = t.cap
-let setup_cycles t = t.setup
 
 let service_time t ~len =
   Int64.add t.setup (Int64.of_float (float_of_int len *. t.per_byte))
@@ -90,18 +85,8 @@ let page_span addr len =
    [spike] stretches the service time (injected latency spike). *)
 let occupy t ~polling ~len ~spike =
   let io0 = Sim.Probe.span_start () in
-  (* Submission queue: per-core SQs as in NVMe — submitting never
-     serializes against other cores' SQs; only the channel Resource
-     below (the device's internal parallelism) queues requests. *)
-  let q =
-    let nq = Array.length t.q_subs in
-    if nq = 1 then 0
-    else begin
-      let q = (Sim.Engine.self ()).Sim.Engine.core mod nq in
-      if q < 0 then q + nq else q
-    end
-  in
-  t.q_subs.(q) <- t.q_subs.(q) + 1;
+  (* Submitting never serializes across cores; only the channel
+     Resource (the device's internal parallelism) queues requests. *)
   Sim.Sync.Resource.acquire t.channels;
   Metrics.Registry.observe t.m_qdepth (Sim.Sync.Resource.in_use t.channels);
   if Trace.on () then
@@ -222,5 +207,3 @@ let write_errors t = t.nwrite_errors
 let torn_writes t = t.ntorn
 let latency_spikes t = t.nspikes
 let queued_cycles t = Sim.Sync.Resource.queued_cycles t.channels
-let queues t = Array.length t.q_subs
-let queue_submissions t = Array.copy t.q_subs

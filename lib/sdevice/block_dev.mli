@@ -13,7 +13,6 @@
 type t
 
 val create :
-  ?queues:int ->
   name:string ->
   channels:int ->
   setup_cycles:int64 ->
@@ -21,22 +20,10 @@ val create :
   capacity_bytes:int64 ->
   unit ->
   t
-(** [queues] (default 1) is the number of submission queues; a request
-    submits on SQ [core mod queues] (per-core SQs as in NVMe), so
-    submission never serializes across cores — only channel occupancy
-    does.  Purely an accounting split ({!queue_submissions}): the
-    channel queueing model is unchanged, so timing is identical at any
-    queue count. *)
 
 val name : t -> string
 val store : t -> Pagestore.t
 val capacity_bytes : t -> int64
-
-val setup_cycles : t -> int64
-(** [setup_cycles t] is the per-request fixed cost passed at {!create} —
-    the floor on this device's completion latency.  Shard-per-device
-    PDES runs use it as a lookahead bound when a device is the only
-    channel between two shards (see [Hw.Costs.min_cross_shard_latency]). *)
 
 val service_time : t -> len:int -> int64
 (** [service_time t ~len] is the channel occupancy for one request,
@@ -85,11 +72,3 @@ val latency_spikes : t -> int
 
 val queued_cycles : t -> int64
 (** Total cycles requests spent queueing behind busy channels. *)
-
-val queues : t -> int
-
-val queue_submissions : t -> int array
-(** Per-submission-queue request counts ([queues] entries; sums to
-    {!reads} + {!writes} + failed I/Os).  The load-balance picture for
-    shard-partitioned drivers: balanced SQs mean the device sees the
-    paper's per-core submission pattern rather than one hot queue. *)

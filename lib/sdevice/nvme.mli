@@ -3,10 +3,7 @@
     IOPS at high queue depth, ~2.4 GB/s sequential throughput, 375 GB
     capacity (scaled down by default — see DESIGN.md §2). *)
 
-val create :
-  ?queues:int -> ?name:string -> ?capacity_bytes:int64 -> unit -> Block_dev.t
+val create : ?name:string -> ?capacity_bytes:int64 -> unit -> Block_dev.t
 (** [create ()] is a fresh Optane-like device: 6 channels, 2400-cycle
     (1 µs) setup, 6 cycles/byte per channel.  Data transfer is DMA — the
-    host CPU does not copy.  [queues] (default 1) splits submission
-    accounting into per-core SQs ([core mod queues]) for sharded
-    drivers — see {!Block_dev.create}. *)
+    host CPU does not copy. *)

@@ -60,14 +60,11 @@ type ctx = {
   mutable sys : int;
   mutable idle : int;
   mutable ev : int; (* events executed by this fiber *)
-  mutable waiting_on : int; (* shard id the fiber waits on, -1 = none *)
   mutable node : int; (* cluster node id the fiber serves, -1 = none *)
   mutable lab : int array; (* cycles per interned label id (internal) *)
   it : interns; (* owning engine's intern table (internal) *)
 }
 
-let set_waiting_on ctx sid = ctx.waiting_on <- sid
-let waiting_on ctx = ctx.waiting_on
 let set_node_id ctx nid = ctx.node <- nid
 let node_id ctx = ctx.node
 
@@ -99,10 +96,6 @@ type t = {
   mutable now : int; (* virtual cycles; fits in 62 bits *)
   mutable seq : int;
   q : (unit -> unit) Pqueue.t;
-  mutable horizon : int;
-      (* exclusive virtual-time bound for [run_until]; [max_int] outside
-         a windowed run.  The delay fast path honours it so a fiber
-         cannot coast past the conservative-sync window. *)
   slot : (unit -> unit) Pqueue.slot;
       (* reusable out-cell for the drain loop: one per engine, so popping
          an event is three stores instead of an option/tuple box *)
@@ -160,7 +153,6 @@ let create ?(seed = 42) ?(fastpath = true) () =
     now = 0;
     seq = 0;
     q = Pqueue.create ();
-    horizon = max_int;
     slot = Pqueue.slot ~dummy:ignore;
     current = None;
     live = 0;
@@ -191,9 +183,6 @@ let events t = t.nevents
 let live_fibers t = t.live
 let set_event_hook t h = t.on_event <- h
 
-(* Earliest queued time ([max_int] when drained) — the fast-path guard. *)
-let next_time t = Pqueue.min_time t.q
-
 let blocked_fibers t =
   Hashtbl.fold
     (fun _ ctx acc -> if ctx.daemon then acc else ctx :: acc)
@@ -216,17 +205,12 @@ let blocked_report t =
     (fun ctx ->
       Buffer.add_string b
         (Printf.sprintf
-           "  fiber %d %S core %d%s%s%s: events=%d user=%d sys=%d idle=%d \
+           "  fiber %d %S core %d%s%s: events=%d user=%d sys=%d idle=%d \
             cycles\n"
            ctx.fid ctx.name ctx.core
-           (* cluster-node tag: a cross-node RPC deadlock then names both
-              halves (this node, plus the awaited shard) in one line *)
+           (* cluster-node tag: a cross-node RPC deadlock then names the
+              node each parked fiber serves *)
            (if ctx.node >= 0 then Printf.sprintf " node %d" ctx.node else "")
-           (if ctx.waiting_on >= 0 then
-              (* the cross-shard half of a deadlock: name the peer whose
-                 reply never came, not just where this fiber lives *)
-              Printf.sprintf " waiting-on shard %d" ctx.waiting_on
-            else "")
            (if ctx.daemon then " [daemon]" else "")
            ctx.ev ctx.user ctx.sys ctx.idle);
       List.iter
@@ -267,10 +251,9 @@ let schedule t ~at thunk =
   Pqueue.push t.q ~time:at ~seq:t.seq thunk
 
 (* External event injection: runs [thunk] at virtual time [at], outside
-   any fiber.  This is how a Shard cluster delivers cross-shard events
-   (posted IPIs, remote completions); the thunk must not perform fiber
-   effects itself — spawn a fiber for any work that needs to delay or
-   block. *)
+   any fiber (cluster RPC deliveries, timeouts and node recovery use it);
+   the thunk must not perform fiber effects itself — spawn a fiber for
+   any work that needs to delay or block. *)
 let post t ~at thunk =
   schedule t ~at:(Int64.to_int at) (fun () ->
       t.current <- None;
@@ -313,11 +296,9 @@ let run_fiber t ctx f =
                   t.seq <- t.seq + 1;
                   (* Fast path: nothing queued can run before (at, seq) —
                      the head is strictly later (ties lose: an equal-time
-                     head has a smaller seq) — and the wake-up stays
-                     inside the run window.  Advance the
-                     clock and hand the continuation straight back to the
-                     run loop. *)
-                  if t.fastpath && next_time t > at && at < t.horizon then begin
+                     head has a smaller seq).  Advance the clock and hand
+                     the continuation straight back to the run loop. *)
+                  if t.fastpath && Pqueue.min_time t.q > at then begin
                     t.now <- at;
                     t.current <- Some ctx;
                     t.pending <- Some k
@@ -339,7 +320,7 @@ let run_fiber t ctx f =
                     prof_charge ~now:t.now ~cycles:c ctx "idle";
                   let at = t.now + c in
                   t.seq <- t.seq + 1;
-                  if t.fastpath && next_time t > at && at < t.horizon then begin
+                  if t.fastpath && Pqueue.min_time t.q > at then begin
                     t.now <- at;
                     t.current <- Some ctx;
                     t.pending <- Some k
@@ -363,7 +344,6 @@ let run_fiber t ctx f =
                         (Printf.sprintf "fiber %s: resumed twice" ctx.name);
                     resumed := true;
                     Hashtbl.remove t.blocked ctx.fid;
-                    ctx.waiting_on <- -1;
                     schedule t ~at:t.now (fun () ->
                         ctx.ev <- ctx.ev + 1;
                         ctx.idle <- ctx.idle + (t.now - t0);
@@ -396,7 +376,6 @@ let spawn t ?(name = "fiber") ?(core = 0) ?(daemon = false) f =
       sys = 0;
       idle = 0;
       ev = 0;
-      waiting_on = -1;
       node = -1;
       lab = [||];
       it = t.it;
@@ -417,15 +396,12 @@ let spawn t ?(name = "fiber") ?(core = 0) ?(daemon = false) f =
       run_fiber t ctx f);
   ctx
 
-let run_loop t ~horizon =
+let run t =
   let amb = Domain.DLS.get ambient_key in
   let saved = !amb in
   amb := Some t;
-  t.horizon <- horizon;
   Fun.protect
-    ~finally:(fun () ->
-      t.horizon <- max_int;
-      amb := saved)
+    ~finally:(fun () -> amb := saved)
     (fun () ->
       let continue_ = ref true in
       while !continue_ do
@@ -443,7 +419,7 @@ let run_loop t ~horizon =
             Effect.Deep.continue k ()
         | None ->
             let sl = t.slot in
-            if Pqueue.pop_into t.q sl ~before:horizon then begin
+            if Pqueue.pop_into t.q sl then begin
               t.now <- sl.Pqueue.s_time;
               let thunk = sl.Pqueue.s_val in
               sl.Pqueue.s_val <- ignore;
@@ -454,15 +430,6 @@ let run_loop t ~horizon =
             end
             else continue_ := false
       done)
-
-let run t = run_loop t ~horizon:max_int
-
-(* Windowed run for conservative parallel sync (see [Shard]): executes
-   only events strictly before [horizon], leaving later ones queued.
-   The clock is left at the last executed event, never advanced to the
-   horizon itself, so a later window (or a cross-shard post landing
-   inside the lookahead gap) can still schedule work at >= now. *)
-let run_until t ~horizon = run_loop t ~horizon
 
 (* Fiber-side fast path: when the wake-up provably precedes every queued
    event, the continuation would be resumed immediately anyway, so the
@@ -475,7 +442,7 @@ let delay ?(cat = User) ?label c =
   let c = if c < 0 then 0 else c in
   match !(Domain.DLS.get ambient_key) with
   | Some ({ fastpath = true; current = Some ctx; _ } as t)
-    when next_time t > t.now + c && t.now + c < t.horizon ->
+    when Pqueue.min_time t.q > t.now + c ->
       (match cat with
       | User -> ctx.user <- ctx.user + c
       | Sys -> ctx.sys <- ctx.sys + c);
@@ -503,7 +470,7 @@ let idle_wait c =
   let c = if c < 0 then 0 else c in
   match !(Domain.DLS.get ambient_key) with
   | Some ({ fastpath = true; current = Some ctx; _ } as t)
-    when next_time t > t.now + c && t.now + c < t.horizon ->
+    when Pqueue.min_time t.q > t.now + c ->
       ctx.idle <- ctx.idle + c;
       if Atomic.get Trace.live_tracers > 0 then trace_span ~ts:t.now ~dur:c ~cat:"engine" ctx "idle";
       if Atomic.get Metrics.Profile.live > 0 then

@@ -36,12 +36,6 @@ type ctx = {
   mutable ev : int;
       (** events this fiber executed (spawn, delays, resumes) — shown by
           {!blocked_report} so a hung fiber's progress is visible *)
-  mutable waiting_on : int;
-      (** shard id of the {!Shard} cluster peer this fiber is blocked
-          waiting on ([-1] when not waiting cross-shard) — set via
-          {!set_waiting_on} before a cross-shard {!suspend}, cleared
-          automatically when the fiber resumes, printed by
-          {!blocked_report} so cross-shard deadlocks name the peer *)
   mutable node : int;
       (** cluster node id this fiber serves ([-1] when not part of a
           cluster) — set via {!set_node_id} by [Aqcluster] server fibers,
@@ -61,19 +55,10 @@ val label_get : ctx -> string -> int64
 (** [label_get ctx label] is the cycles charged to [label] (0 if never
     charged). *)
 
-val set_waiting_on : ctx -> int -> unit
-(** [set_waiting_on ctx sid] records that the fiber is about to block
-    waiting for a message from cluster shard [sid] (a cross-shard inbox
-    reply).  Cleared automatically when the fiber's {!suspend} resumes;
-    callers that block repeatedly re-arm it before each wait. *)
-
-val waiting_on : ctx -> int
-(** [waiting_on ctx] is the shard id set by {!set_waiting_on}, or [-1]. *)
-
 val set_node_id : ctx -> int -> unit
 (** [set_node_id ctx nid] tags the fiber as serving cluster node [nid];
-    {!blocked_report} then prints ["node nid"] alongside the owning and
-    awaited shard.  Persists for the fiber's lifetime. *)
+    {!blocked_report} then prints ["node nid"] alongside the fiber's
+    core.  Persists for the fiber's lifetime. *)
 
 val node_id : ctx -> int
 (** [node_id ctx] is the cluster node id set by {!set_node_id}, or [-1]. *)
@@ -111,10 +96,8 @@ val blocked_fibers : t -> (int * string) list
 
 val blocked_report : t -> string
 (** [blocked_report t] is a multi-line deadlock report: every parked
-    fiber (daemons flagged), its core, its cluster node id and the
-    {!Shard} peer it waits on when set (so cross-shard and cross-node
-    deadlocks are triageable),
-    the number of events it executed
+    fiber (daemons flagged), its core, its cluster node id when set (so
+    cross-node deadlocks are triageable), the number of events it executed
     ({!ctx.ev}), its user/sys/idle cycle totals, and its per-label cost
     breakdown ({!labels}) — so a fiber hung in a fault-injection retry
     loop ("io_retry") is distinguishable from one waiting on a lock.
@@ -143,23 +126,12 @@ val run : t -> unit
 (** [run t] executes events until the queue drains.  Exceptions raised by
     fibers propagate out of [run]. *)
 
-val run_until : t -> horizon:int -> unit
-(** [run_until t ~horizon] executes events with virtual time strictly
-    before [horizon] (unboxed cycles), leaving later events queued and
-    the clock at the last executed event.  The windowed primitive behind
-    {!Shard}'s conservative-parallel sync; [run t] is
-    [run_until t ~horizon:max_int]. *)
-
-val next_time : t -> int
-(** [next_time t] is the earliest queued event time in unboxed cycles, or [max_int] when the engine is drained.  Only
-    meaningful between runs (no fast-path continuation is pending). *)
-
 val post : t -> at:int64 -> (unit -> unit) -> unit
 (** [post t ~at f] injects an external event: [f] runs at virtual time
     [at] (clamped to now), outside any fiber.  [f] must not call fiber-side operations
     ({!delay}, {!suspend}, ...) directly — {!spawn} a fiber for work
-    that needs them.  This is the cross-shard delivery primitive used by
-    {!Shard} clusters. *)
+    that needs them.  [Aqcluster] uses it for RPC deliveries, timeouts and
+    node recovery. *)
 
 (** {1 Fiber-side operations}
 

@@ -114,7 +114,7 @@ let peek_payload t =
   if t.len = 0 then invalid_arg "Pqueue.peek_payload: empty queue";
   t.vals.(0)
 
-(* Reusable out-cell for the shard drain loop: popping through a slot
+(* Reusable out-cell for the engine's drain loop: popping through a slot
    moves the head key and payload into caller-owned mutable fields, so
    the per-event cost is three stores — no [(int * int * 'a) option]
    box, no tuple. *)
@@ -123,23 +123,14 @@ type 'a slot = { mutable s_time : int; mutable s_seq : int; mutable s_val : 'a }
 
 let slot ~dummy = { s_time = 0; s_seq = 0; s_val = dummy }
 
-let pop_into t out ~before =
-  if t.len = 0 || t.times.(0) >= before then false
+let pop_into t out =
+  if t.len = 0 then false
   else begin
     out.s_time <- t.times.(0);
     out.s_seq <- t.seqs.(0);
     out.s_val <- t.vals.(0);
     remove_min t;
     true
-  end
-
-(* Thin boxing wrapper over the head accessors + [pop_min]; kept for
-   callers that want the option API off the hot path. *)
-let pop_if_before t ~time =
-  if t.len = 0 || t.times.(0) >= time then None
-  else begin
-    let tt = t.times.(0) and ss = t.seqs.(0) in
-    Some (tt, ss, pop_min t)
   end
 
 let peek_time t = if t.len = 0 then None else Some t.times.(0)

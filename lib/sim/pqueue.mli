@@ -26,11 +26,6 @@ val pop : 'a t -> (int * int * 'a) option
 (** [pop q] removes and returns the element with the smallest
     [(time, seq)] key, or [None] if the queue is empty. *)
 
-val pop_if_before : 'a t -> time:int -> (int * int * 'a) option
-(** [pop_if_before q ~time] is [pop q] when the head's time is strictly
-    earlier than [time], and [None] (leaving the queue untouched)
-    otherwise — the primitive behind the engine's delay fast path. *)
-
 val min_time : 'a t -> int
 (** [min_time q] is the key time of the head, or [max_int] when empty.
     Allocation-free, for hot-path comparisons. *)
@@ -53,12 +48,11 @@ val slot : dummy:'a -> 'a slot
 (** [slot ~dummy] is a fresh slot; [dummy] seeds [s_val] until the first
     successful {!pop_into}. *)
 
-val pop_into : 'a t -> 'a slot -> before:int -> bool
-(** [pop_into q out ~before] pops the head into [out] and returns [true]
-    when the head's time is strictly earlier than [before]; otherwise
-    leaves the queue untouched and returns [false].  The allocation-free
-    primitive behind the engine's drain loop; {!pop_if_before} is
-    its boxing wrapper. *)
+val pop_into : 'a t -> 'a slot -> bool
+(** [pop_into q out] pops the head into [out] and returns [true], or
+    returns [false] when the queue is empty.  The allocation-free
+    primitive behind the engine's drain loop; {!pop} is its boxing
+    counterpart. *)
 
 val peek_time : 'a t -> int option
 (** [peek_time q] is the key time of the next element without removing it. *)

@@ -69,6 +69,10 @@ let contiguous_runs () =
   let b = Blobstore.Store.create_blob s ~pages:128 () in
   (* freshly allocated clusters are consecutive, so the run spans both *)
   Alcotest.(check bool) "long run from 0" true (Blobstore.Store.contiguous_run b 0 >= 64);
+  (* one ascending free list: the first blob starts at cluster 0 and
+     its clusters are handed out back to back *)
+  checki "ascending clusters" 0 (Blobstore.Store.device_page b 0);
+  checki "contiguous" 128 (Blobstore.Store.contiguous_run b 0);
   checki "tail run" 1 (Blobstore.Store.contiguous_run b 127)
 
 let alloc_reuse_prop =

@@ -28,21 +28,13 @@ let pqueue_fifo_ties () =
     | None -> Alcotest.fail "queue drained early"
   done
 
-let pqueue_min_time_and_pop_if_before () =
-  let popped = Alcotest.(option (pair int string)) in
-  let strip = Option.map (fun (t, _, v) -> (t, v)) in
+let pqueue_min_time_and_pop_min () =
   let q = Sim.Pqueue.create () in
   checki "empty min_time is max_int" max_int (Sim.Pqueue.min_time q);
-  check popped "pop_if_before on empty" None
-    (strip (Sim.Pqueue.pop_if_before q ~time:100));
   Sim.Pqueue.push q ~time:50 ~seq:0 "a";
   Sim.Pqueue.push q ~time:20 ~seq:1 "b";
   checki "min_time is head" 20 (Sim.Pqueue.min_time q);
-  check popped "head not strictly before 20" None
-    (strip (Sim.Pqueue.pop_if_before q ~time:20));
-  check popped "head before 21"
-    (Some (20, "b"))
-    (strip (Sim.Pqueue.pop_if_before q ~time:21));
+  check Alcotest.string "pop_min takes head" "b" (Sim.Pqueue.pop_min q);
   checki "next head" 50 (Sim.Pqueue.min_time q);
   check Alcotest.string "pop_min" "a" (Sim.Pqueue.pop_min q);
   Alcotest.check_raises "pop_min on empty"
@@ -119,47 +111,20 @@ let pqueue_peek_payload_and_pop_into () =
     (Invalid_argument "Pqueue.peek_payload: empty queue") (fun () ->
       ignore (Sim.Pqueue.peek_payload q));
   let sl = Sim.Pqueue.slot ~dummy:"-" in
-  Alcotest.(check bool) "pop_into on empty" false
-    (Sim.Pqueue.pop_into q sl ~before:max_int);
+  Alcotest.(check bool) "pop_into on empty" false (Sim.Pqueue.pop_into q sl);
   Sim.Pqueue.push q ~time:40 ~seq:0 "b";
   Sim.Pqueue.push q ~time:10 ~seq:1 "a";
   check Alcotest.string "peek_payload sees min" "a" (Sim.Pqueue.peek_payload q);
   checki "peek does not pop" 2 (Sim.Pqueue.length q);
-  Alcotest.(check bool) "head not strictly before 10" false
-    (Sim.Pqueue.pop_into q sl ~before:10);
-  Alcotest.(check bool) "head before 11" true
-    (Sim.Pqueue.pop_into q sl ~before:11);
+  Alcotest.(check bool) "pops head" true (Sim.Pqueue.pop_into q sl);
   checki "slot time" 10 sl.Sim.Pqueue.s_time;
   checki "slot seq" 1 sl.Sim.Pqueue.s_seq;
   check Alcotest.string "slot value" "a" sl.Sim.Pqueue.s_val;
-  Alcotest.(check bool) "slot reused" true
-    (Sim.Pqueue.pop_into q sl ~before:max_int);
+  Alcotest.(check bool) "slot reused" true (Sim.Pqueue.pop_into q sl);
   checki "reused slot time" 40 sl.Sim.Pqueue.s_time;
   check Alcotest.string "reused slot value" "b" sl.Sim.Pqueue.s_val;
-  Alcotest.(check bool) "drained" true (Sim.Pqueue.is_empty q)
-
-let pqueue_pop_into_matches_pop_if_before =
-  (* pop_if_before is documented as a thin wrapper over the same bound
-     check pop_into performs; both views of one queue must agree on
-     every (time, seq, value, accepted?) outcome. *)
-  QCheck.Test.make ~name:"pqueue pop_into agrees with pop_if_before" ~count:200
-    QCheck.(list (pair (int_bound 100) (int_bound 100)))
-    (fun script ->
-      let a = Sim.Pqueue.create () and b = Sim.Pqueue.create () in
-      let sl = Sim.Pqueue.slot ~dummy:(-1) in
-      List.for_all
-        (fun (t, bound) ->
-          Sim.Pqueue.push a ~time:t ~seq:t t;
-          Sim.Pqueue.push b ~time:t ~seq:t t;
-          let hit = Sim.Pqueue.pop_into a sl ~before:bound in
-          match (hit, Sim.Pqueue.pop_if_before b ~time:bound) with
-          | false, None -> true
-          | true, Some (t', s', v') ->
-              sl.Sim.Pqueue.s_time = t' && sl.Sim.Pqueue.s_seq = s'
-              && sl.Sim.Pqueue.s_val = v'
-          | _ -> false)
-        script
-      && Sim.Pqueue.length a = Sim.Pqueue.length b)
+  Alcotest.(check bool) "drained" true (Sim.Pqueue.is_empty q);
+  Alcotest.(check bool) "pop_into after drain" false (Sim.Pqueue.pop_into q sl)
 
 (* ---- Rng ---- *)
 
@@ -388,101 +353,16 @@ let engine_fastpath_matches_queued () =
   check64 "mixed: same final time" t2 t1;
   check Alcotest.string "mixed: same interleaving" l2 l1
 
-let engine_post_and_run_until () =
+let engine_post_and_run () =
   let eng = Sim.Engine.create () in
   let log = ref [] in
   Sim.Engine.post eng ~at:200L (fun () -> log := 200 :: !log);
   Sim.Engine.post eng ~at:50L (fun () -> log := 50 :: !log);
   Sim.Engine.post eng ~at:500L (fun () -> log := 500 :: !log);
-  checki "next_time sees earliest post" 50 (Sim.Engine.next_time eng);
-  Sim.Engine.run_until eng ~horizon:201;
-  (* horizon is exclusive: 50 and 200 ran, 500 is still pending *)
-  Alcotest.(check (list int)) "events strictly before horizon" [ 50; 200 ]
-    (List.rev !log);
-  check64 "clock at last executed" 200L (Sim.Engine.now eng);
-  checki "remainder pending" 500 (Sim.Engine.next_time eng);
-  Sim.Engine.run_until eng ~horizon:500;
-  Alcotest.(check (list int)) "boundary event excluded" [ 50; 200 ]
-    (List.rev !log);
   Sim.Engine.run eng;
-  Alcotest.(check (list int)) "run drains the rest" [ 50; 200; 500 ]
+  Alcotest.(check (list int)) "posts run in time order" [ 50; 200; 500 ]
     (List.rev !log);
-  checki "next_time on empty" max_int (Sim.Engine.next_time eng)
-
-(* ---- Shard (conservative PDES cluster) ---- *)
-
-(* Mini cross-shard workload: every core runs rng-paced delays and
-   sends a ring IPI to the next core every 4 ops.  Each core's event
-   stream depends only on its own index, so all virtual-time outcomes
-   are invariant across shard counts and execution modes. *)
-let mini_cluster ~deterministic ~shards =
-  let ncores = 6 and la = 1_000L in
-  Sim.Shard.run ~deterministic ~shards ~lookahead:la (fun sh ->
-      let n = Sim.Shard.shards sh in
-      for core = 0 to ncores - 1 do
-        if core mod n = Sim.Shard.sid sh then
-          ignore
-            (Sim.Engine.spawn (Sim.Shard.engine sh) ~core (fun () ->
-                 let rng = Sim.Rng.create (500 + core) in
-                 for op = 1 to 24 do
-                   Sim.Engine.delay (Int64.of_int (1 + Sim.Rng.int rng 200));
-                   if op mod 4 = 0 then begin
-                     let target = (core + 1) mod ncores in
-                     Sim.Shard.post sh ~to_:(target mod n)
-                       ~at:(Int64.add (Sim.Engine.now_f ()) la)
-                       (fun peer ->
-                         ignore
-                           (Sim.Engine.spawn (Sim.Shard.engine peer)
-                              ~core:target (fun () ->
-                                Sim.Engine.delay ~label:"ipi" 120L)))
-                   end
-                 done))
-      done)
-
-let shard_stats_key (s : Sim.Shard.stats) =
-  (s.Sim.Shard.events, s.Sim.Shard.final_cycles, s.Sim.Shard.windows)
-
-let shard_cluster_modes_agree =
-  (* Satellite property: at any shard count, free-running domains and
-     the deterministic single-domain replay reach identical terminal
-     stats (including cross_posts — same partition), and every shard
-     count reproduces the 1-shard virtual schedule. *)
-  QCheck.Test.make ~name:"shard cluster: free == deterministic == 1-shard"
-    ~count:12
-    QCheck.(int_range 1 6)
-    (fun shards ->
-      let det = mini_cluster ~deterministic:true ~shards in
-      let free = mini_cluster ~deterministic:false ~shards in
-      let base = mini_cluster ~deterministic:true ~shards:1 in
-      det.Sim.Shard.cross_posts = free.Sim.Shard.cross_posts
-      && shard_stats_key det = shard_stats_key free
-      && shard_stats_key det = shard_stats_key base)
-
-let shard_post_enforces_lookahead () =
-  (* A cross-shard post below now + lookahead breaks the conservative
-     promise and must be rejected immediately; an intra-shard post at
-     the same timestamp is fine. *)
-  let saw = ref None in
-  let stats =
-    Sim.Shard.run ~deterministic:true ~shards:2 ~lookahead:1_000L (fun sh ->
-        if Sim.Shard.sid sh = 0 then
-          ignore
-            (Sim.Engine.spawn (Sim.Shard.engine sh) ~core:0 (fun () ->
-                 Sim.Engine.delay 10L;
-                 Sim.Shard.post sh ~to_:0 ~at:500L (fun _ -> ());
-                 (try Sim.Shard.post sh ~to_:1 ~at:500L (fun _ -> ())
-                  with Invalid_argument m -> saw := Some m);
-                 Sim.Shard.post sh ~to_:1 ~at:1_010L (fun _ -> ())))
-        else
-          ignore
-            (Sim.Engine.spawn (Sim.Shard.engine sh) ~core:1 (fun () ->
-                 Sim.Engine.delay 5L)))
-  in
-  Alcotest.(check bool) "violation raised" true (!saw <> None);
-  checki "legal cross post delivered" 1 stats.Sim.Shard.cross_posts;
-  Alcotest.check_raises "shards < 1 rejected"
-    (Invalid_argument "Shard.run: shards must be >= 1") (fun () ->
-      ignore (Sim.Shard.run ~shards:0 ~lookahead:1L (fun _ -> ())))
+  check64 "clock at last post" 500L (Sim.Engine.now eng)
 
 let sink_captures_and_restores () =
   let (), captured =
@@ -648,13 +528,12 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick pqueue_order;
           Alcotest.test_case "fifo on ties" `Quick pqueue_fifo_ties;
-          Alcotest.test_case "min_time / pop_if_before" `Quick
-            pqueue_min_time_and_pop_if_before;
+          Alcotest.test_case "min_time / pop_min" `Quick
+            pqueue_min_time_and_pop_min;
           Alcotest.test_case "peek_payload / pop_into" `Quick
             pqueue_peek_payload_and_pop_into;
           QCheck_alcotest.to_alcotest pqueue_prop;
           QCheck_alcotest.to_alcotest pqueue_vs_reference;
-          QCheck_alcotest.to_alcotest pqueue_pop_into_matches_pop_if_before;
         ] );
       ( "rng",
         [
@@ -679,14 +558,7 @@ let () =
             engine_blocked_fibers_empty_when_clean;
           Alcotest.test_case "blocked report breakdown" `Quick
             engine_blocked_report_breaks_down_costs;
-          Alcotest.test_case "post / run_until horizon" `Quick
-            engine_post_and_run_until;
-        ] );
-      ( "shard",
-        [
-          QCheck_alcotest.to_alcotest shard_cluster_modes_agree;
-          Alcotest.test_case "lookahead enforced" `Quick
-            shard_post_enforces_lookahead;
+          Alcotest.test_case "post / run" `Quick engine_post_and_run;
         ] );
       ( "sync",
         [
