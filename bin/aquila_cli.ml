@@ -211,6 +211,26 @@ let trace_cmd =
         (const run $ id $ out $ csv $ summary $ buffer $ policy_arg
        $ metrics_out_arg))
 
+(* The verdict shared by faultcheck and clustercheck: print the reports;
+   a clean sweep passes, violations fail — except under --broken, where
+   the sweep must find violations to prove the [tool] has teeth. *)
+let sweep_verdict ~header ~tool ~bug ~broken reports =
+  List.iter (Fault.Report.pp header Format.std_formatter) reports;
+  let clean = List.for_all Fault.Report.ok reports in
+  if broken then
+    if clean then
+      `Error
+        ( false,
+          Printf.sprintf
+            "broken variant produced no violations — the %s missed a real %s"
+            tool bug )
+    else begin
+      Printf.printf "broken variant caught, as expected — %s has teeth\n" tool;
+      `Ok ()
+    end
+  else if clean then `Ok ()
+  else `Error (false, header ^ ": violations found")
+
 let faultcheck_cmd =
   let doc = "Crash-consistency sweep: inject power cuts, verify durability." in
   let man =
@@ -259,42 +279,31 @@ let faultcheck_cmd =
   let run seeds points mode broken plan crash_at policy metrics_out =
     if seeds < 1 || points < 1 then
       `Error (true, "--seeds and --points must be >= 1")
+    else if broken && mode = `Kreon then
+      `Error (true, "--broken has no kreon variant: use --mode micro|all")
     else
       match fault_spec_of plan crash_at with
       | Error msg -> `Error (true, "--fault-plan: " ^ msg)
-      | Ok fault ->
+      | Ok fault -> (
           let spec = Option.value fault ~default:Fault.Plan.default in
           let seeds = List.init seeds (fun i -> i + 1) in
-          let reports =
-            Experiments.Scenario.with_metrics ?out:metrics_out @@ fun () ->
-            (match mode with
-            | `Micro | `All ->
-                [
-                  Fault_check.Check.run_micro ~spec ~broken ~policy ~seeds
-                    ~points ();
-                ]
-            | `Kreon -> [])
-            @
-            match mode with
-            | `Kreon | `All ->
-                if broken then []
-                else
-                  [ Fault_check.Check.run_kreon ~spec ~policy ~seeds ~points () ]
-            | `Micro -> []
+          let micro () =
+            Fault_check.Check.run_micro ~spec ~broken ~policy ~seeds ~points ()
           in
-          List.iter (Fault_check.Check.pp_report Format.std_formatter) reports;
-          let clean = List.for_all Fault.Report.ok reports in
-          if broken then
-            if clean then
-              `Error (false, "broken variant produced no violations — the \
-                              checker missed a real durability bug")
-            else begin
-              print_endline
-                "broken variant caught, as expected — checker has teeth";
-              `Ok ()
-            end
-          else if clean then `Ok ()
-          else `Error (false, "durability violations found")
+          let kreon () =
+            Fault_check.Check.run_kreon ~spec ~policy ~seeds ~points ()
+          in
+          match
+            Experiments.Scenario.with_metrics ?out:metrics_out @@ fun () ->
+            match mode with
+            | `Micro -> [ micro () ]
+            | `Kreon -> [ kreon () ]
+            | `All -> micro () :: (if broken then [] else [ kreon () ])
+          with
+          | reports ->
+              sweep_verdict ~header:"faultcheck" ~tool:"checker"
+                ~bug:"durability bug" ~broken reports
+          | exception Invalid_argument msg -> `Error (true, msg))
   in
   Cmd.v
     (Cmd.info "faultcheck" ~doc ~man)
@@ -389,23 +398,9 @@ let clustercheck_cmd =
                    Aqcluster.Check.sweep ~broken ~cfg ~seeds:[ seed ] ~points
                      ()))
            seed_list);
-      let report =
-        Array.fold_left Fault.Report.merge Fault.Report.empty results
-      in
-      Aqcluster.Check.pp_report Format.std_formatter report;
-      let clean = Fault.Report.ok report in
-      if broken then
-        if clean then
-          `Error
-            ( false,
-              "broken variant produced no violations — the oracle missed a \
-               real lost-ack bug" )
-        else begin
-          print_endline "broken variant caught, as expected — oracle has teeth";
-          `Ok ()
-        end
-      else if clean then `Ok ()
-      else `Error (false, "cluster violations found")
+      sweep_verdict ~header:"clustercheck" ~tool:"oracle" ~bug:"lost-ack bug"
+        ~broken
+        [ Array.fold_left Fault.Report.merge Fault.Report.empty results ]
     end
   in
   Cmd.v
@@ -630,31 +625,15 @@ let report_cmd =
           end
           else jobs
         in
+        (* with_metrics resets only when a sink is requested; the table
+           always covers exactly this run *)
         Metrics.Registry.reset ();
-        if profiling then
-          Metrics.Profile.start ~period:sample_period
-            ~ts_period:(match timeseries with None -> 0 | Some _ -> ts_period)
-            ();
-        run_entries ~jobs ?fault entries;
-        if profiling then Metrics.Profile.stop ();
-        let samples = Metrics.Registry.snapshot () in
-        if families then Stats.Metrics_report.print_families samples;
-        Stats.Metrics_report.print samples;
-        (match metrics_out with
-        | Some path ->
-            Metrics.Export.write ~path samples;
-            Printf.printf "metrics: snapshot -> %s\n%!" path
-        | None -> ());
-        (match profile with
-        | Some path ->
-            Metrics.Export.to_file path (Metrics.Profile.folded ());
-            Printf.printf "metrics: folded profile -> %s\n%!" path
-        | None -> ());
-        (match timeseries with
-        | Some path ->
-            Metrics.Export.to_file path (Metrics.Profile.timeseries_csv ());
-            Printf.printf "metrics: timeseries -> %s\n%!" path
-        | None -> ());
+        Experiments.Scenario.with_metrics ?out:metrics_out ?profile
+          ~sample_period ?timeseries ~ts_period (fun () ->
+            run_entries ~jobs ?fault entries;
+            let samples = Metrics.Registry.snapshot () in
+            if families then Stats.Metrics_report.print_families samples;
+            Stats.Metrics_report.print samples);
         `Ok ()
   in
   Cmd.v

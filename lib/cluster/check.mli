@@ -9,15 +9,13 @@
     foreign bytes, (3) all replicas of every key converge — and repeat
     (1) and (3) on a fresh cluster restarted from the surviving devices.
     With [~broken:true] the cluster acks before replicating; the sweep
-    must then report violations, proving the oracle has teeth. *)
-
-val pp_report : Format.formatter -> Fault.Report.t -> unit
-(** {!Fault.Report.pp} under the ["clustercheck"] header. *)
+    must then report violations, proving the oracle has teeth.  Print
+    reports with [Fault.Report.pp "clustercheck"]. *)
 
 val sweep :
   ?broken:bool -> ?cfg:Cluster.config -> seeds:int list -> points:int ->
   unit -> Fault.Report.t
-(** Per seed: two no-crash probes (byte-level determinism gate over
-    event count, acked ops and device bytes), then [points] crash
-    ordinals spread over the probe's event count, each crossed with
-    every node as the crash target. *)
+(** {!Fault.Sweep.run} in mode ["cluster"]: per seed, two no-crash
+    probes (byte-level determinism gate over event count, acked ops and
+    device bytes), then [points] crash ordinals spread over the probe's
+    event count, each crossed with every node as the crash target. *)

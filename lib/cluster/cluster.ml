@@ -504,15 +504,8 @@ let convergence_violations t =
   List.rev !out
 
 let device_digest t =
-  let psz = Hw.Defs.page_size in
-  let buf = Bytes.create psz in
-  let all = Buffer.create 4096 in
-  Array.iter
-    (fun n ->
-      let store = Sdevice.Block_dev.store (Node.device n) in
-      for p = 0 to t.cfg.node.Node.wal_pages - 1 do
-        Sdevice.Pagestore.read_page store ~page:p ~dst:buf;
-        Buffer.add_bytes all buf
-      done)
-    t.nodes;
-  Digest.string (Buffer.contents all)
+  Array.to_list t.nodes
+  |> List.map (fun n ->
+         Sdevice.Pagestore.digest (Sdevice.Block_dev.store (Node.device n)))
+  |> String.concat ""
+  |> Digest.string

@@ -92,5 +92,5 @@ val node : t -> int -> Node.t
 val devices : t -> Sdevice.Block_dev.t array
 
 val device_digest : t -> Digest.t
-(** Digest over every node's raw WAL device bytes — the determinism
-    probe compared across repeat runs. *)
+(** Digest over every node's device bytes ({!Sdevice.Pagestore.digest})
+    — the determinism probe compared across repeat runs. *)

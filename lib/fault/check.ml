@@ -11,16 +11,15 @@
      number, and have an internally consistent fill pattern (no tear
      inside an acknowledged page).
    - kreon: a Kreon-sim instance over DAX pmem.  After crash + recover,
-     every key acked by a completed msync must return its acked value or
-     a later one; no key may return bytes that were never written.
+     every key acked by a completed msync must pass Fault.Kv_oracle: its
+     acked value or a later one, never bytes that were never written.
 
    Everything is deterministic: the workload draws from its own seeded
    RNG, injection draws from the plan's stream, and crash points are
-   event ordinals — so a (seed, crash point) pair is exactly repeatable. *)
+   event ordinals — so a (seed, crash point) pair is exactly repeatable.
+   Fault.Sweep spreads the crash points and gates determinism. *)
 
 let psz = Hw.Defs.page_size
-
-let pp_report = Fault.Report.pp "faultcheck"
 
 (* ---- micro: versioned full-page writes over NVMe ---- *)
 
@@ -59,22 +58,32 @@ let decode_page ~seed ~page buf =
       else Corrupt (Printf.sprintf "torn fill at version %d" v)
     end
 
-type run_result = {
-  crashed : bool;
-  events : int;  (* total events (probe) or the crash ordinal *)
-  counters : (string * int) list;  (* plan injection counters *)
-  store_digest : string;  (* device bytes after the run *)
-  run_violations : string list;
-}
+(* Run [workload eng] to completion on a fresh engine under [plan]: the
+   event count, or the crash ordinal if the plan cut the power. *)
+let run_under plan workload =
+  try
+    Fault.with_plan plan (fun () ->
+        let eng = Sim.Engine.create () in
+        workload eng;
+        Sim.Engine.run eng;
+        Sim.Engine.events eng)
+  with Fault.Crash { at_event } -> at_event
 
-let micro_store_digest store =
-  let buf = Bytes.create psz in
-  let all = Buffer.create (micro_pages * psz) in
-  for p = 0 to micro_pages - 1 do
-    Sdevice.Pagestore.read_page store ~page:p ~dst:buf;
-    Buffer.add_bytes all buf
-  done;
-  Digest.string (Buffer.contents all)
+(* What a repeat run must reproduce: the plan's injection counters and
+   the device bytes. *)
+let sweep_run ~plan ~events ~store violations =
+  {
+    Fault.Sweep.crashed = Fault.Plan.crashed plan;
+    events;
+    fingerprint =
+      String.concat ","
+        (List.map
+           (fun (k, n) -> Printf.sprintf "%s=%d" k n)
+           (Fault.Plan.counters plan))
+      ^ ":"
+      ^ Digest.to_hex (Sdevice.Pagestore.digest store);
+    violations;
+  }
 
 let cache_policy policy cfg =
   {
@@ -90,72 +99,65 @@ let micro_once ~seed ~(spec : Fault.Plan.spec) ~broken ~policy () =
   let store = Sdevice.Block_dev.store nvme in
   let latest = Array.make micro_pages 0 in
   let synced = Array.make micro_pages 0 in
-  let plan = Fault.Plan.make { spec with Fault.Plan.seed } in
-  let crashed = ref false in
-  let events = ref 0 in
+  let plan = Fault.Plan.make spec in
   let violations = ref [] in
   let violation fmt =
     Printf.ksprintf (fun s -> violations := s :: !violations) fmt
   in
   let translate p = if p < micro_pages then Some p else None in
-  (try
-     Fault.with_plan plan (fun () ->
-         let eng = Sim.Engine.create () in
-         let cfg =
-           cache_policy policy
-             (Aquila.Context.default_config ~cache_frames:micro_frames)
-         in
-         let cfg =
-           if broken then
-             {
-               cfg with
-               Aquila.Context.cache =
-                 { cfg.Aquila.Context.cache with Mcache.Dram_cache.wb_protect = false };
-             }
-           else cfg
-         in
-         let ctx = Aquila.Context.create cfg in
-         let access = Sdevice.Access.spdk_nvme (Aquila.Context.costs ctx) nvme in
-         ignore
-           (Sim.Engine.spawn eng ~core:0 (fun () ->
-                Aquila.Context.enter_thread ctx;
-                let file =
-                  Aquila.Context.attach_file ctx ~name:"check.dat" ~access
-                    ~translate ~size_pages:micro_pages
-                in
-                let region = Aquila.Context.mmap ctx file ~npages:micro_pages () in
-                let rng = Sim.Rng.create (0x51ed2706 + seed) in
-                let sync () =
-                  (* only a completed msync acknowledges durability *)
-                  try
-                    Aquila.Context.msync ctx region;
-                    Array.blit latest 0 synced 0 micro_pages
-                  with Fault.Io_error _ -> ()
-                in
-                try
-                  for i = 1 to micro_ops do
-                    let p = Sim.Rng.int rng micro_pages in
-                    let v = latest.(p) + 1 in
-                    latest.(p) <- v;
-                    (try
-                       Aquila.Context.write ctx region ~off:(p * psz)
-                         ~src:(encode_page ~seed ~page:p ~version:v)
-                     with
-                    | Fault.Sigbus _ ->
-                        (* the store never happened: roll the oracle back *)
-                        latest.(p) <- v - 1
-                    | Fault.Read_only _ ->
-                        latest.(p) <- v - 1;
-                        raise Exit);
-                    if i mod micro_sync_every = 0 then sync ()
-                  done;
-                  sync ()
-                with Exit -> ()));
-         Sim.Engine.run eng;
-         events := Sim.Engine.events eng)
-   with Fault.Crash { at_event } ->
-     crashed := true;
-     events := at_event);
+  let events =
+    run_under plan (fun eng ->
+        let cfg =
+          cache_policy policy
+            (Aquila.Context.default_config ~cache_frames:micro_frames)
+        in
+        let cfg =
+          if broken then
+            {
+              cfg with
+              Aquila.Context.cache =
+                { cfg.Aquila.Context.cache with Mcache.Dram_cache.wb_protect = false };
+            }
+          else cfg
+        in
+        let ctx = Aquila.Context.create cfg in
+        let access = Sdevice.Access.spdk_nvme (Aquila.Context.costs ctx) nvme in
+        ignore
+          (Sim.Engine.spawn eng ~core:0 (fun () ->
+               Aquila.Context.enter_thread ctx;
+               let file =
+                 Aquila.Context.attach_file ctx ~name:"check.dat" ~access
+                   ~translate ~size_pages:micro_pages
+               in
+               let region = Aquila.Context.mmap ctx file ~npages:micro_pages () in
+               let rng = Sim.Rng.create (0x51ed2706 + seed) in
+               let sync () =
+                 (* only a completed msync acknowledges durability *)
+                 try
+                   Aquila.Context.msync ctx region;
+                   Array.blit latest 0 synced 0 micro_pages
+                 with Fault.Io_error _ -> ()
+               in
+               try
+                 for i = 1 to micro_ops do
+                   let p = Sim.Rng.int rng micro_pages in
+                   let v = latest.(p) + 1 in
+                   latest.(p) <- v;
+                   (try
+                      Aquila.Context.write ctx region ~off:(p * psz)
+                        ~src:(encode_page ~seed ~page:p ~version:v)
+                    with
+                   | Fault.Sigbus _ ->
+                       (* the store never happened: roll the oracle back *)
+                       latest.(p) <- v - 1
+                   | Fault.Read_only _ ->
+                       latest.(p) <- v - 1;
+                       raise Exit);
+                   if i mod micro_sync_every = 0 then sync ()
+                 done;
+                 sync ()
+               with Exit -> ())))
+  in
   (* Oracle: inspect the device bytes that survived the cut. *)
   let buf = Bytes.create psz in
   for p = 0 to micro_pages - 1 do
@@ -201,13 +203,7 @@ let micro_once ~seed ~(spec : Fault.Plan.spec) ~broken ~policy () =
          done));
   (try Sim.Engine.run eng
    with e -> violation "restart verification failed: %s" (Printexc.to_string e));
-  {
-    crashed = !crashed;
-    events = !events;
-    counters = Fault.Plan.counters plan;
-    store_digest = micro_store_digest store;
-    run_violations = List.rev !violations;
-  }
+  sweep_run ~plan ~events ~store !violations
 
 (* ---- kreon: KV store commit protocol over DAX pmem ---- *)
 
@@ -229,14 +225,11 @@ let kreon_once ~seed ~(spec : Fault.Plan.spec) ~policy () =
       ~capacity_bytes:(Int64.of_int (kreon_capacity_pages * psz))
       ()
   in
-  (* history: key -> (op, value) list, newest first; acked: key -> op of
-     the value covered by the last *completed* msync *)
-  let history : (string, (int * string) list) Hashtbl.t = Hashtbl.create 64 in
-  let acked : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  (* a put is acked by the next *completed* msync; [pending] holds the
+     puts since the last one *)
+  let oracle = Fault.Kv_oracle.create () in
   let pending : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let plan = Fault.Plan.make { spec with Fault.Plan.seed } in
-  let crashed = ref false in
-  let events = ref 0 in
+  let plan = Fault.Plan.make spec in
   let violations = ref [] in
   let violation fmt =
     Printf.ksprintf (fun s -> violations := s :: !violations) fmt
@@ -254,43 +247,38 @@ let kreon_once ~seed ~(spec : Fault.Plan.spec) ~policy () =
     Kvstore.Kreon_sim.create ~ctx ~access ~store ~expected_records:kreon_ops
       ~value_bytes:24 ~config:kreon_config ()
   in
-  (try
-     Fault.with_plan plan (fun () ->
-         let eng = Sim.Engine.create () in
-         let ctx, store, access = mk_stack () in
-         ignore
-           (Sim.Engine.spawn eng ~core:0 (fun () ->
-                Aquila.Context.enter_thread ctx;
-                let db = mk_db ctx store access in
-                let rng = Sim.Rng.create (0x9e3779b9 + seed) in
-                try
-                  for i = 1 to kreon_ops do
-                    let k = kv_key rng in
-                    let v = kv_value ~seed ~op:i k in
-                    (* record the write intent first: a crash inside put
-                       can land after an internal spill already committed
-                       the log record, so the value may legitimately be
-                       recovered even though put never returned *)
-                    Hashtbl.replace history k
-                      ((i, v)
-                      :: (try Hashtbl.find history k with Not_found -> []));
-                    Kvstore.Kreon_sim.put db k v;
-                    Hashtbl.replace pending k i;
-                    if i mod kreon_sync_every = 0 then begin
-                      Kvstore.Kreon_sim.msync db;
-                      Hashtbl.iter (Hashtbl.replace acked) pending;
-                      Hashtbl.reset pending
-                    end
-                  done
-                with Fault.Io_error _ | Fault.Sigbus _ | Fault.Read_only _ ->
-                  (* storm severe enough to fail the store: stop the
-                     workload; everything acked so far must still hold *)
-                  ()));
-         Sim.Engine.run eng;
-         events := Sim.Engine.events eng)
-   with Fault.Crash { at_event } ->
-     crashed := true;
-     events := at_event);
+  let events =
+    run_under plan (fun eng ->
+        let ctx, store, access = mk_stack () in
+        ignore
+          (Sim.Engine.spawn eng ~core:0 (fun () ->
+               Aquila.Context.enter_thread ctx;
+               let db = mk_db ctx store access in
+               let rng = Sim.Rng.create (0x9e3779b9 + seed) in
+               try
+                 for i = 1 to kreon_ops do
+                   let k = kv_key rng in
+                   let v = kv_value ~seed ~op:i k in
+                   (* record the write intent first: a crash inside put
+                      can land after an internal spill already committed
+                      the log record, so the value may legitimately be
+                      recovered even though put never returned *)
+                   Fault.Kv_oracle.write oracle ~key:k ~op:i v;
+                   Kvstore.Kreon_sim.put db k v;
+                   Hashtbl.replace pending k i;
+                   if i mod kreon_sync_every = 0 then begin
+                     Kvstore.Kreon_sim.msync db;
+                     Hashtbl.iter
+                       (fun key op -> Fault.Kv_oracle.ack oracle ~key ~op)
+                       pending;
+                     Hashtbl.reset pending
+                   end
+                 done
+               with Fault.Io_error _ | Fault.Sigbus _ | Fault.Read_only _ ->
+                 (* storm severe enough to fail the store: stop the
+                    workload; everything acked so far must still hold *)
+                 ())))
+  in
   (* Restart (no plan): a fresh stack over the surviving pmem — the same
      creation sequence reproduces the blob layout — then recover and
      check every key against the oracle. *)
@@ -308,102 +296,36 @@ let kreon_once ~seed ~(spec : Fault.Plan.spec) ~policy () =
             violation "recover failed on surviving device: %s"
               (Printexc.to_string e);
             raise Exit);
-         Hashtbl.iter
-           (fun k hist ->
-             let got = Kvstore.Kreon_sim.get db k in
-             match Hashtbl.find_opt acked k with
-             | Some acked_op -> (
-                 (* acked: must return the acked value or a later one
-                    (a spill or a crashed msync may have committed more) *)
-                 match got with
-                 | None -> violation "key %s lost: acked at op %d" k acked_op
-                 | Some v ->
-                     if
-                       not
-                         (List.exists
-                            (fun (op, v') -> op >= acked_op && String.equal v v')
-                            hist)
-                     then
-                       violation "key %s: %S matches no write since acked op %d"
-                         k v acked_op)
-             | None -> (
-                 (* never acked: may be absent, or hold any value this
-                    run actually wrote (an uncompleted commit may have
-                    landed) — but never foreign bytes *)
-                 match got with
-                 | None -> ()
-                 | Some v ->
-                     if not (List.exists (fun (_, v') -> String.equal v v') hist)
-                     then violation "key %s: recovered bytes %S never written" k v))
-           history));
+         List.iter
+           (fun key ->
+             Fault.Kv_oracle.check oracle ~key (Kvstore.Kreon_sim.get db key)
+             |> Option.iter (violation "%s"))
+           (Fault.Kv_oracle.keys oracle)));
   (try Sim.Engine.run eng with
   | Exit -> ()
   | e -> violation "restart verification failed: %s" (Printexc.to_string e));
-  {
-    crashed = !crashed;
-    events = !events;
-    counters = Fault.Plan.counters plan;
-    store_digest = "";
-    run_violations = List.rev !violations;
-  }
+  sweep_run ~plan ~events ~store:(Sdevice.Pmem.store pmem) !violations
 
 (* ---- sweep drivers ---- *)
 
-let label mode seed crash_at msg =
-  Printf.sprintf "[%s seed=%d%s] %s" mode seed
-    (match crash_at with None -> "" | Some at -> Printf.sprintf " crash=%d" at)
-    msg
-
-(* Probe the full run twice (determinism check), then sweep [points]
-   crash ordinals spread over the observed event count. *)
-let sweep ~mode ~(spec : Fault.Plan.spec) ~seeds ~points once =
-  let combos = ref 0 in
-  let crashes = ref 0 in
-  let violations = ref [] in
-  let add ~seed ~crash_at msgs =
-    violations :=
-      List.rev_append (List.rev_map (label mode seed crash_at) msgs) !violations
-  in
-  List.iter
-    (fun seed ->
-      let spec = { spec with Fault.Plan.seed; crash_at = None } in
-      let probe = once ~seed ~spec () in
-      add ~seed ~crash_at:None probe.run_violations;
-      let probe2 = once ~seed ~spec () in
-      if
-        probe.events <> probe2.events
-        || probe.counters <> probe2.counters
-        || not (String.equal probe.store_digest probe2.store_digest)
-      then
-        add ~seed ~crash_at:None
-          [
-            Printf.sprintf
-              "nondeterministic: events %d/%d, device or counters differ"
-              probe.events probe2.events;
-          ];
-      for i = 1 to points do
-        let at = max 1 (probe.events * i / (points + 1)) in
-        let spec = { spec with Fault.Plan.crash_at = Some at } in
-        let r = once ~seed ~spec () in
-        incr combos;
-        if r.crashed then incr crashes;
-        add ~seed ~crash_at:(Some at) r.run_violations
-      done)
-    seeds;
-  {
-    Fault.Report.combos = !combos;
-    crashes = !crashes;
-    violations = List.rev !violations;
-  }
+(* A node-targeted plan never arms the engine crash hook (the crash
+   belongs to a cluster node), so every combo would run uncut. *)
+let reject_node (spec : Fault.Plan.spec) =
+  if spec.Fault.Plan.node <> None then
+    invalid_arg
+      "faultcheck: node= targets a cluster node (see clustercheck); faultcheck \
+       cuts power to the whole stack"
 
 let run_micro ?(spec = Fault.Plan.default) ?(broken = false)
     ?(policy = Mcache.Policy.Clock) ~seeds ~points () =
-  sweep
+  reject_node spec;
+  Fault.Sweep.run
     ~mode:(if broken then "micro/broken" else "micro")
     ~spec ~seeds ~points
-    (fun ~seed ~spec () -> micro_once ~seed ~spec ~broken ~policy ())
+    (fun ~seed ~spec -> micro_once ~seed ~spec ~broken ~policy ())
 
 let run_kreon ?(spec = Fault.Plan.default) ?(policy = Mcache.Policy.Clock)
     ~seeds ~points () =
-  sweep ~mode:"kreon" ~spec ~seeds ~points (fun ~seed ~spec () ->
+  reject_node spec;
+  Fault.Sweep.run ~mode:"kreon" ~spec ~seeds ~points (fun ~seed ~spec ->
       kreon_once ~seed ~spec ~policy ())

@@ -11,12 +11,13 @@
     staleness, no intra-page tear), while writes that were never acked may
     land fully, partially (page-granular) or not at all.
 
-    Crash points are spread over the event count observed in a probe run,
-    which is also executed twice to assert determinism (identical event
-    counts, injection counters and — for micro — device bytes). *)
+    {!Fault.Sweep} spreads the crash points over the event count of a
+    probe run, which it also executes twice to assert determinism
+    (identical event counts, injection counters and device bytes).  Print
+    reports with [Fault.Report.pp "faultcheck"].
 
-val pp_report : Format.formatter -> Fault.Report.t -> unit
-(** {!Fault.Report.pp} under the ["faultcheck"] header. *)
+    Both sweeps raise [Invalid_argument] when [spec.node] is set: a
+    node-targeted plan crashes a cluster node, never this stack. *)
 
 val run_micro :
   ?spec:Fault.Plan.spec ->
@@ -43,5 +44,4 @@ val run_kreon :
   Fault.Report.t
 (** The same sweep over a {!Kvstore.Kreon_sim} instance on DAX pmem:
     random puts with periodic msync commits, crash, restart + recover,
-    then every acked key must return its acked (or a later) value and no
-    key may return bytes that were never written. *)
+    then every key must pass {!Fault.Kv_oracle}. *)

@@ -339,3 +339,101 @@ module Report = struct
       r.crashes (List.length r.violations);
     List.iter (fun v -> Fmt.pf ppf "  VIOLATION %s@." v) r.violations
 end
+
+module Sweep = struct
+  type run = {
+    crashed : bool;
+    events : int;
+    fingerprint : string;
+    violations : string list;
+  }
+
+  let label mode ~seed ?crash_at ?node msg =
+    let opt key = Option.fold ~none:"" ~some:(Printf.sprintf " %s=%d" key) in
+    Printf.sprintf "[%s seed=%d%s%s] %s" mode seed (opt "crash" crash_at)
+      (opt "node" node) msg
+
+  let run ~mode ~(spec : Plan.spec) ~seeds ~points ?targets once =
+    let combos = ref 0 and crashes = ref 0 and violations = ref [] in
+    let add labelled = violations := List.rev_append labelled !violations in
+    let nodes =
+      match targets with None -> [ None ] | Some ts -> List.map Option.some ts
+    in
+    List.iter
+      (fun seed ->
+        let spec = { spec with Plan.seed; crash_at = None } in
+        let probe = once ~seed ~spec in
+        let probe2 = once ~seed ~spec in
+        add (List.map (label mode ~seed) probe.violations);
+        let same_print = String.equal probe.fingerprint probe2.fingerprint in
+        if probe.events <> probe2.events || not same_print then
+          add
+            [
+              label mode ~seed
+                (Printf.sprintf
+                   "nondeterministic: events %d/%d, fingerprints %s"
+                   probe.events probe2.events
+                   (if same_print then "equal" else "differ"));
+            ];
+        for i = 1 to points do
+          let at = max 1 (probe.events * i / (points + 1)) in
+          List.iter
+            (fun node ->
+              let crash = { spec with crash_at = Some at } in
+              let crash = if node = None then crash else { crash with node } in
+              let r = once ~seed ~spec:crash in
+              incr combos;
+              if r.crashed then incr crashes;
+              add (List.map (label mode ~seed ~crash_at:at ?node) r.violations))
+            nodes
+        done)
+      seeds;
+    {
+      Report.combos = !combos;
+      crashes = !crashes;
+      violations = List.rev !violations;
+    }
+end
+
+module Kv_oracle = struct
+  (* history: key -> every (op, value) written, newest first;
+     acked: key -> op of the last acknowledged write *)
+  type t = {
+    history : (string, (int * string) list) Hashtbl.t;
+    acked : (string, int) Hashtbl.t;
+  }
+
+  let create () = { history = Hashtbl.create 64; acked = Hashtbl.create 64 }
+
+  let writes t key =
+    Option.value (Hashtbl.find_opt t.history key) ~default:[]
+
+  let write t ~key ~op v =
+    Hashtbl.replace t.history key ((op, v) :: writes t key)
+
+  let ack t ~key ~op = Hashtbl.replace t.acked key op
+
+  let keys t =
+    Hashtbl.fold (fun k _ acc -> k :: acc) t.history []
+    |> List.sort String.compare
+
+  let find t ~key v =
+    List.find_opt (fun (_, v') -> String.equal v v') (writes t key)
+
+  let written t ~key v = find t ~key v <> None
+
+  let check t ~key got =
+    let acked = Hashtbl.find_opt t.acked key in
+    match (got, acked) with
+    | None, None -> None
+    | None, Some a -> Some (Printf.sprintf "key %s lost: acked at op %d" key a)
+    | Some v, _ -> (
+        match (find t ~key v, acked) with
+        | None, _ ->
+            Some (Printf.sprintf "key %s returned foreign bytes %S" key v)
+        | Some (op, _), Some a when op < a ->
+            Some
+              (Printf.sprintf "key %s stale: returned op %d but op %d was acked"
+                 key op a)
+        | Some _, _ -> None)
+end

@@ -146,11 +146,13 @@ val draw_spike : Plan.t -> int
 val note_retry : Plan.t -> unit
 val note_sigbus : Plan.t -> unit
 
-(** {1 Crash-sweep reports}
+(** {1 Crash sweeps}
 
-    The result shared by both crash sweeps: [aquila_cli faultcheck]
+    The harness shared by both crash sweeps, [aquila_cli faultcheck]
     ([Fault_check.Check]) and [aquila_cli clustercheck]
-    ([Aqcluster.Check]). *)
+    ([Aqcluster.Check]): one report type, one sweep loop with its
+    determinism gate, and one acknowledged-write oracle for key-value
+    workloads.  The callers keep only their workloads. *)
 
 module Report : sig
   type t = {
@@ -169,4 +171,64 @@ module Report : sig
   val pp : string -> Format.formatter -> t -> unit
   (** [pp header] prints ["header: N combos, C crashed, V violations"],
       then one ["  VIOLATION ..."] line per violation. *)
+end
+
+module Sweep : sig
+  type run = {
+    crashed : bool;  (** the run hit its injected crash *)
+    events : int;  (** engine events of a no-crash run *)
+    fingerprint : string;
+        (** what a repeat run must reproduce: injection counters, acked
+            counts, device digest *)
+    violations : string list;
+        (** oracle failures, unlabelled, most recent first (the order
+            they are reported in) *)
+  }
+
+  val run :
+    mode:string ->
+    spec:Plan.spec ->
+    seeds:int list ->
+    points:int ->
+    ?targets:int list ->
+    (seed:int -> spec:Plan.spec -> run) ->
+    Report.t
+  (** [run ~mode ~spec ~seeds ~points ?targets once] runs, per seed:
+      - the no-crash probe ([spec] with [seed], no [crash_at]) twice,
+        reporting ["nondeterministic"] unless both runs agree on
+        [events] and [fingerprint];
+      - one combo per crash ordinal, [points] of them spread evenly (and
+        at least 1) over the probe's [events], crossed with each of
+        [targets] as the plan's [node].  Without [targets], [node] stays
+        as in [spec].
+
+      Violations are labelled ["[mode seed=S crash=C node=N] msg"];
+      probe violations carry no [crash]/[node], and [node] appears only
+      with [targets]. *)
+end
+
+module Kv_oracle : sig
+  (** The acknowledged-write contract of a key-value store: a read
+      returns the key's last acked value or a later write, or nothing if
+      no write was acked — never bytes no write produced.  Values must
+      be unique per write. *)
+
+  type t
+
+  val create : unit -> t
+
+  val write : t -> key:string -> op:int -> string -> unit
+  (** Record write op [op] {e before} issuing it: a crash can make a
+      write durable before its call returns. *)
+
+  val ack : t -> key:string -> op:int -> unit
+  val keys : t -> string list  (** every key written, sorted *)
+
+  val written : t -> key:string -> string -> bool
+  (** Some write of [key] produced this value. *)
+
+  val check : t -> key:string -> string option -> string option
+  (** The violation a read of [key] commits, if any: ["key K lost: acked
+      at op A"], ["key K stale: returned op G but op A was acked"] or
+      ["key K returned foreign bytes \"V\""]. *)
 end

@@ -254,25 +254,3 @@ let value ?(labels = []) name =
       then acc + s.s_value
       else acc)
     0 (snapshot ())
-
-(* Quantile-at-least over a snapshot histogram's sparse pow2 buckets:
-   the upper bound (2^(k+1) - 1) of the first bucket whose cumulative
-   count reaches ceil(count * p / 100).  Same semantics as
-   Stats.Histogram.percentile, at pow2 rather than 1/32 resolution; the
-   SLO tests cross-check the two. *)
-let quantile s p =
-  if s.s_count = 0 then 0
-  else begin
-    let target =
-      let t = int_of_float (ceil (float_of_int s.s_count *. p /. 100.)) in
-      if t < 1 then 1 else if t > s.s_count then s.s_count else t
-    in
-    let rec go acc = function
-      | [] -> (1 lsl hbuckets) - 1 (* overflow bucket: count > 0 is here *)
-      | (k, n) :: rest ->
-          let acc = acc + n in
-          if acc >= target then (if k = 0 then 1 else (1 lsl (k + 1)) - 1)
-          else go acc rest
-    in
-    go 0 s.s_buckets
-  end

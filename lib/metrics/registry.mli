@@ -17,7 +17,9 @@ type kind = Counter | Gauge | Histogram
 
 (** Number of power-of-two histogram buckets: bucket [k] counts
     observations [v] with [2^k <= v < 2^(k+1)] ([v <= 1] lands in
-    bucket 0, overflow saturates into the last bucket). *)
+    bucket 0, overflow saturates into the last bucket).  The buckets are
+    the Prometheus [le] export format only; quantiles come from
+    {!Stats.Histogram.percentile}. *)
 val hbuckets : int
 
 type cell
@@ -73,16 +75,6 @@ val snapshot : unit -> sample list
 val reset : unit -> unit
 (** Zero all values in all domains.  Families and series registrations
     (and bound cells) stay valid. *)
-
-val quantile : sample -> float -> int
-(** [quantile s p] is the {e quantile-at-least} estimate for [p] in
-    [\[0,100\]] over a histogram sample's sparse pow2 buckets: the upper
-    bound [2^(k+1) - 1] of the first bucket [k] (bucket 0 reports 1)
-    whose cumulative count reaches [ceil (s_count * p / 100)]
-    observations.  No interpolation: the estimate never undershoots the
-    exact order statistic, and can overshoot by up to one pow2 bucket.
-    Same semantics as {!Stats.Histogram.percentile} at coarser
-    resolution; 0 when the sample is empty or not a histogram. *)
 
 val value : ?labels:(string * string) list -> string -> int
 (** Merged value of family [labels] series; with [labels = []] the sum

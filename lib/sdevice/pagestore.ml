@@ -55,3 +55,13 @@ let write_page t ~page ~src =
   Bytes.blit src 0 b 0 psz
 
 let allocated_pages t = Hashtbl.length t.pages
+
+let digest t =
+  let zero = Bytes.make psz '\000' in
+  Hashtbl.fold
+    (fun p b acc -> if Bytes.equal b zero then acc else (p, b) :: acc)
+    t.pages []
+  |> List.sort (fun (p, _) (q, _) -> Int.compare p q)
+  |> List.concat_map (fun (p, b) -> [ string_of_int p; ":"; Bytes.to_string b ])
+  |> String.concat ""
+  |> Digest.string

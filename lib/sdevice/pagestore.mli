@@ -24,3 +24,9 @@ val write_page : t -> page:int -> src:Bytes.t -> unit
 
 val allocated_pages : t -> int
 (** Number of pages that have been materialized. *)
+
+val digest : t -> Digest.t
+(** Digest of the stored bytes: every materialized page that is not all
+    zero, with its page number, in page order.  Pages never written and
+    pages written with zeros digest alike, so the digest depends only on
+    what a read would return. *)

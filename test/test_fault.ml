@@ -289,12 +289,141 @@ let degrade_to_read_only_after_error_storm () =
   Mcache.Dram_cache.crash ca;
   Alcotest.(check bool) "crash resets read-only" false (Mcache.Dram_cache.degraded ca)
 
+(* ---- The shared sweep harness (Fault.Sweep) ---- *)
+
+(* A synthetic workload: records every spec it ran under, reports
+   [events] events, crashes whenever a crash is armed, and lets the
+   caller pick the fingerprint of each call. *)
+let synthetic ?(events = 1000) ~fingerprint () =
+  let calls = ref [] in
+  let once ~seed ~(spec : Fault.Plan.spec) =
+    calls := (seed, spec) :: !calls;
+    {
+      Fault.Sweep.crashed = spec.Fault.Plan.crash_at <> None;
+      events;
+      fingerprint = fingerprint (List.length !calls);
+      violations = [];
+    }
+  in
+  (once, fun () -> List.rev !calls)
+
+let sweep_nondeterminism_gate () =
+  (* probes of one seed are calls 1 and 2 of 1 + 2 + points calls *)
+  let once, _ =
+    synthetic ~fingerprint:(fun n -> if n mod 2 = 0 then "even" else "odd") ()
+  in
+  let r =
+    Fault.Sweep.run ~mode:"syn" ~spec:Fault.Plan.default ~seeds:[ 4; 9 ]
+      ~points:2 once
+  in
+  Alcotest.(check (list string))
+    "one violation per seed, labelled with the seed"
+    [
+      "[syn seed=4] nondeterministic: events 1000/1000, fingerprints differ";
+      "[syn seed=9] nondeterministic: events 1000/1000, fingerprints differ";
+    ]
+    r.Fault.Report.violations;
+  let once, _ = synthetic ~fingerprint:(fun _ -> "same") () in
+  let r =
+    Fault.Sweep.run ~mode:"syn" ~spec:Fault.Plan.default ~seeds:[ 4; 9 ]
+      ~points:2 once
+  in
+  Alcotest.(check (list string)) "stable fingerprint passes" []
+    r.Fault.Report.violations
+
+let sweep_combos_and_ordinals () =
+  let events = 777 and points = 5 and seeds = [ 1; 2; 3 ] in
+  let want = List.init points (fun i -> max 1 (events * (i + 1) / (points + 1))) in
+  let once, calls = synthetic ~events ~fingerprint:(fun _ -> "") () in
+  let r =
+    Fault.Sweep.run ~mode:"syn" ~spec:Fault.Plan.default ~seeds ~points
+      ~targets:[ 0; 1 ] once
+  in
+  checki "combos = seeds x points x targets" (3 * points * 2) r.Fault.Report.combos;
+  checki "every combo crashed" r.Fault.Report.combos r.Fault.Report.crashes;
+  let crash_specs =
+    List.filter (fun (_, s) -> s.Fault.Plan.crash_at <> None) (calls ())
+  in
+  Alcotest.(check (list (pair int (pair int int))))
+    "ordinal-major, target-minor crash plans per seed"
+    (List.concat_map
+       (fun seed ->
+         List.concat_map (fun at -> [ (seed, (at, 0)); (seed, (at, 1)) ]) want)
+       seeds)
+    (List.map
+       (fun (seed, s) ->
+         (seed, (Option.get s.Fault.Plan.crash_at, Option.get s.Fault.Plan.node)))
+       crash_specs);
+  checki "two probes per seed" (2 * 3)
+    (List.length (calls ()) - List.length crash_specs);
+  (* without targets the caller's node is left alone *)
+  let once, calls = synthetic ~fingerprint:(fun _ -> "") () in
+  let spec = { Fault.Plan.default with Fault.Plan.node = Some 5 } in
+  let r = Fault.Sweep.run ~mode:"syn" ~spec ~seeds:[ 1 ] ~points:3 once in
+  checki "combos = seeds x points" 3 r.Fault.Report.combos;
+  Alcotest.(check bool) "node untouched" true
+    (List.for_all (fun (_, s) -> s.Fault.Plan.node = Some 5) (calls ()));
+  (* a run shorter than the point count still crashes at event >= 1 *)
+  let once, calls = synthetic ~events:2 ~fingerprint:(fun _ -> "") () in
+  ignore
+    (Fault.Sweep.run ~mode:"syn" ~spec:Fault.Plan.default ~seeds:[ 1 ]
+       ~points:2 once);
+  Alcotest.(check (list (option int))) "tiny run clamps to 1"
+    [ None; None; Some 1; Some 1 ]
+    (List.map (fun (_, s) -> s.Fault.Plan.crash_at) (calls ()))
+
+let sweep_labels () =
+  let once ~seed:_ ~(spec : Fault.Plan.spec) =
+    {
+      Fault.Sweep.crashed = true;
+      events = 30;
+      fingerprint = "";
+      violations =
+        (if spec.Fault.Plan.crash_at = None then [] else [ "boom" ]);
+    }
+  in
+  let r =
+    Fault.Sweep.run ~mode:"m" ~spec:Fault.Plan.default ~seeds:[ 7 ] ~points:1
+      ~targets:[ 2 ] once
+  in
+  Alcotest.(check (list string)) "with targets"
+    [ "[m seed=7 crash=15 node=2] boom" ] r.Fault.Report.violations;
+  let r =
+    Fault.Sweep.run ~mode:"m" ~spec:Fault.Plan.default ~seeds:[ 7 ] ~points:1 once
+  in
+  Alcotest.(check (list string)) "without targets"
+    [ "[m seed=7 crash=15] boom" ] r.Fault.Report.violations
+
+(* ---- The acknowledged-write KV oracle (Fault.Kv_oracle) ---- *)
+
+let kv_oracle_verdicts () =
+  let o = Fault.Kv_oracle.create () in
+  Fault.Kv_oracle.write o ~key:"a" ~op:1 "a1";
+  Fault.Kv_oracle.ack o ~key:"a" ~op:1;
+  Fault.Kv_oracle.write o ~key:"a" ~op:2 "a2";
+  Fault.Kv_oracle.ack o ~key:"a" ~op:2;
+  Fault.Kv_oracle.write o ~key:"a" ~op:3 "a3";
+  Fault.Kv_oracle.write o ~key:"b" ~op:4 "b4";
+  let check name want key got =
+    Alcotest.(check (option string)) name want (Fault.Kv_oracle.check o ~key got)
+  in
+  check "lost" (Some "key a lost: acked at op 2") "a" None;
+  check "stale" (Some "key a stale: returned op 1 but op 2 was acked") "a" (Some "a1");
+  check "foreign" (Some "key a returned foreign bytes \"b4\"") "a" (Some "b4");
+  check "acked value accepted" None "a" (Some "a2");
+  check "later unacked value accepted" None "a" (Some "a3");
+  check "unacked and absent accepted" None "b" None;
+  check "unacked value accepted" None "b" (Some "b4");
+  Alcotest.(check bool) "written" true (Fault.Kv_oracle.written o ~key:"b" "b4");
+  Alcotest.(check bool) "not written" false (Fault.Kv_oracle.written o ~key:"b" "a1");
+  Alcotest.(check (list string)) "keys sorted" [ "a"; "b" ] (Fault.Kv_oracle.keys o)
+
 (* ---- The crash-consistency checker ---- *)
 
 let checker_micro_clean () =
   let r = Fault_check.Check.run_micro ~seeds:[ 1; 2 ] ~points:5 () in
   Alcotest.(check bool)
-    (Format.asprintf "%a" Fault_check.Check.pp_report r)
+    (Format.asprintf "%a" (Fault.Report.pp "faultcheck") r)
     true (Fault.Report.ok r);
   checki "all combos crashed" r.Fault.Report.combos
     r.Fault.Report.crashes
@@ -302,8 +431,22 @@ let checker_micro_clean () =
 let checker_kreon_clean () =
   let r = Fault_check.Check.run_kreon ~seeds:[ 1 ] ~points:5 () in
   Alcotest.(check bool)
-    (Format.asprintf "%a" Fault_check.Check.pp_report r)
+    (Format.asprintf "%a" (Fault.Report.pp "faultcheck") r)
     true (Fault.Report.ok r)
+
+let checker_rejects_node_plans () =
+  (* a node-targeted plan never arms the engine crash hook: sweeping it
+     would run every combo uncut and pass vacuously *)
+  let spec = { Fault.Plan.default with Fault.Plan.node = Some 1 } in
+  List.iter
+    (fun (name, run) ->
+      match run () with
+      | _ -> Alcotest.failf "%s accepted node=1" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("run_micro", fun () -> Fault_check.Check.run_micro ~spec ~seeds:[ 1 ] ~points:1 ());
+      ("run_kreon", fun () -> Fault_check.Check.run_kreon ~spec ~seeds:[ 1 ] ~points:1 ());
+    ]
 
 let checker_catches_broken_variant () =
   (* wb_protect:false skips re-write-protecting clean pages after msync,
@@ -339,11 +482,22 @@ let () =
           Alcotest.test_case "read-only fallback" `Quick
             degrade_to_read_only_after_error_storm;
         ] );
+      ( "sweep",
+        [
+          Alcotest.test_case "probe-twice determinism gate" `Quick
+            sweep_nondeterminism_gate;
+          Alcotest.test_case "combos and crash ordinals" `Quick
+            sweep_combos_and_ordinals;
+          Alcotest.test_case "violation labels" `Quick sweep_labels;
+          Alcotest.test_case "kv oracle verdicts" `Quick kv_oracle_verdicts;
+        ] );
       ( "checker",
         [
           Alcotest.test_case "micro clean" `Quick checker_micro_clean;
           Alcotest.test_case "kreon clean" `Quick checker_kreon_clean;
           Alcotest.test_case "broken variant caught" `Quick
             checker_catches_broken_variant;
+          Alcotest.test_case "node plans rejected" `Quick
+            checker_rejects_node_plans;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Tests for the open-loop load generator (lib/loadgen): arrival-stream
    purity, bounded-queue admission control, deterministic shedding, SLO
-   accounting, and the pow2-bucket quantile used for SLO reporting. *)
+   accounting, and the metrics it exports. *)
 
 let checki = Alcotest.(check int)
 
@@ -215,73 +215,8 @@ let hockey_stick_mechanism () =
     Alcotest.failf "no hockey stick: p99 %.0f at 10%% load, %.0f at 4x" light
       overload
 
-(* ---- pow2 quantile (Metrics.Registry.quantile) ---- *)
-
-let registry_quantile_exact () =
-  Metrics.Registry.reset ();
-  let h = Metrics.Registry.histogram "test_loadgen_q" in
-  for _ = 1 to 20 do
-    Metrics.Registry.observe h 1000
-  done;
-  let s =
-    List.find
-      (fun s -> s.Metrics.Registry.s_name = "test_loadgen_q")
-      (Metrics.Registry.snapshot ())
-  in
-  (* 1000 lands in bucket 9 (512..1023): every quantile reports 1023 *)
-  checki "p50" 1023 (Metrics.Registry.quantile s 50.);
-  checki "p999" 1023 (Metrics.Registry.quantile s 99.9);
-  Metrics.Registry.reset ();
-  let s0 =
-    List.find
-      (fun s -> s.Metrics.Registry.s_name = "test_loadgen_q")
-      (Metrics.Registry.snapshot ())
-  in
-  checki "empty sample" 0 (Metrics.Registry.quantile s0 99.)
-
-let registry_quantile_vs_histogram =
-  QCheck.Test.make
-    ~name:"Registry.quantile agrees with Histogram.percentile (pow2 coarse)"
-    ~count:50
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 200) (int_range 1 1_000_000))
-    (fun samples ->
-      samples = []
-      ||
-      begin
-      Metrics.Registry.reset ();
-      let hc = Metrics.Registry.histogram "test_loadgen_q" in
-      let hist = Stats.Histogram.create () in
-      List.iter
-        (fun v ->
-          Metrics.Registry.observe hc v;
-          Stats.Histogram.record hist (Int64.of_int v))
-        samples;
-      let s =
-        List.find
-          (fun s -> s.Metrics.Registry.s_name = "test_loadgen_q")
-          (Metrics.Registry.snapshot ())
-      in
-      let sorted = Array.of_list (List.sort compare samples) in
-      let n = Array.length sorted in
-      List.for_all
-        (fun p ->
-          let rank =
-            min (n - 1)
-              (max 0 (int_of_float (ceil (float_of_int n *. p /. 100.)) - 1))
-          in
-          let exact = sorted.(rank) in
-          let q = Metrics.Registry.quantile s p in
-          let h = Int64.to_int (Stats.Histogram.percentile hist p) in
-          (* both are quantile-at-least over the same data: neither may
-             undershoot the exact order statistic, the pow2 estimate may
-             overshoot by at most its bucket (2x), the 1/32 estimate sits
-             below it plus a bucket *)
-          q >= exact && q <= (2 * sorted.(n - 1)) + 1 && h <= q * 2)
-        [ 50.; 90.; 99.; 99.9 ]
-      end)
-
 (* Loadgen's own metrics: sojourn histogram + counters land in the
-   registry, and the pow2 p99 bounds the precise histogram p99. *)
+   registry. *)
 let loadgen_metrics_cross_check () =
   Metrics.Registry.reset ();
   let eng = Sim.Engine.create () in
@@ -303,11 +238,7 @@ let loadgen_metrics_cross_check () =
       (Metrics.Registry.snapshot ())
   in
   checki "sojourn sample count" r.Loadgen.completions
-    s.Metrics.Registry.s_count;
-  let q = Metrics.Registry.quantile s 99. in
-  let h = Int64.to_int (Stats.Histogram.percentile r.Loadgen.sojourn 99.) in
-  if not (q >= h && q <= 2 * h) then
-    Alcotest.failf "pow2 p99 %d does not bracket histogram p99 %d" q h
+    s.Metrics.Registry.s_count
 
 let () =
   Alcotest.run "loadgen"
@@ -327,11 +258,8 @@ let () =
           Alcotest.test_case "hockey-stick mechanism" `Quick
             hockey_stick_mechanism;
         ] );
-      ( "quantile",
+      ( "metrics",
         [
-          Alcotest.test_case "pow2 quantile exact buckets" `Quick
-            registry_quantile_exact;
-          QCheck_alcotest.to_alcotest registry_quantile_vs_histogram;
           Alcotest.test_case "loadgen metrics cross-check" `Quick
             loadgen_metrics_cross_check;
         ] );

@@ -41,6 +41,22 @@ let pagestore_pages () =
   Sdevice.Pagestore.read_page s ~page:7 ~dst:back;
   Alcotest.(check bool) "page equal" true (Bytes.equal page back)
 
+let pagestore_digest () =
+  let image pages =
+    let s = Sdevice.Pagestore.create () in
+    List.iter
+      (fun (page, c) -> Sdevice.Pagestore.write_page s ~page ~src:(Bytes.make psz c))
+      pages;
+    Sdevice.Pagestore.digest s
+  in
+  let same = Alcotest.(check bool) in
+  same "write order does not matter" true
+    (image [ (3, 'a'); (9, 'b') ] = image [ (9, 'b'); (3, 'a') ]);
+  same "zero pages digest as unwritten" true
+    (image [ (3, 'a'); (5, '\000') ] = image [ (3, 'a') ]);
+  same "page number counts" false (image [ (3, 'a') ] = image [ (4, 'a') ]);
+  same "bytes count" false (image [ (3, 'a') ] = image [ (3, 'b') ])
+
 let pagestore_prop =
   QCheck.Test.make ~name:"pagestore read-after-write at random offsets" ~count:100
     QCheck.(pair (int_bound 100000) (string_of_size (QCheck.Gen.int_range 1 5000)))
@@ -198,6 +214,7 @@ let () =
           Alcotest.test_case "roundtrip across pages" `Quick pagestore_roundtrip;
           Alcotest.test_case "zero fill" `Quick pagestore_zero_fill;
           Alcotest.test_case "whole pages" `Quick pagestore_pages;
+          Alcotest.test_case "digest" `Quick pagestore_digest;
           QCheck_alcotest.to_alcotest pagestore_prop;
         ] );
       ( "block dev",
