@@ -3,13 +3,18 @@
 open Cmdliner
 
 let list_cmd =
-  let doc = "List all reproducible tables and figures." in
+  let doc = "List all reproducible tables, figures, ablations and sweeps." in
   let run () =
+    let all = Experiments.Registry.all in
+    let width =
+      List.fold_left
+        (fun w (e : Experiments.Registry.entry) -> max w (String.length e.id))
+        0 all
+    in
     List.iter
       (fun (e : Experiments.Registry.entry) ->
-        Printf.printf "%-8s %s\n" e.Experiments.Registry.id
-          e.Experiments.Registry.title)
-      Experiments.Registry.all
+        Printf.printf "%-*s %s\n" width e.id e.title)
+      all
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
@@ -72,7 +77,6 @@ let policy_arg =
               cycles, so results differ in virtual time as well as hit \
               rate.")
 
-(* Same flag names and spec syntax as bench/main.exe. *)
 let fault_plan_arg =
   Arg.(
     value

@@ -60,4 +60,4 @@ val json_string : row list -> string
     CI regression gate. *)
 
 val run : unit -> unit
-(** [sweep] + [print_rows] with defaults (the bench/ablations job). *)
+(** [sweep] + [print_rows] with defaults (the [ablation-policy] entry). *)

@@ -34,6 +34,41 @@ let all =
       title = "Open-loop latency vs offered load (hockey stick), per backend";
       run = Openloop.run;
     };
+    {
+      id = "ablation-policy";
+      title = "Ablation: cache replacement policy";
+      run = Policy_ablation.run;
+    };
+    {
+      id = "ablation-tlb-batching";
+      title = "Ablation: TLB shootdown and batching";
+      run = Ablations.tlb_and_batching;
+    };
+    {
+      id = "ablation-memcpy";
+      title = "Ablation: AVX2 streaming memcpy vs scalar";
+      run = Ablations.memcpy;
+    };
+    {
+      id = "ablation-readahead";
+      title = "Ablation: madvise-driven readahead";
+      run = Ablations.readahead;
+    };
+    {
+      id = "ablation-uring";
+      title = "Extension: io_uring as the miss-path access method";
+      run = Ablations.uring;
+    };
+    {
+      id = "sweep-cache-size";
+      title = "Sweep: cache size vs dataset";
+      run = Sweeps.cache_size;
+    };
+    {
+      id = "sweep-evict-batch";
+      title = "Sweep: eviction/shootdown batch size";
+      run = Sweeps.evict_batch;
+    };
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
@@ -54,7 +89,3 @@ let run_selected ?(jobs = 1) ?fault entries =
              Sim.Sink.printf "\n### %s: %s\n" e.id e.title;
              e.run ()))
        entries)
-
-let run_all ?jobs ?fault () =
-  Sim.Sink.printf "Aquila reproduction — %s\n" Scenario.scale_note;
-  run_selected ?jobs ?fault all

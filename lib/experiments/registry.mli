@@ -1,5 +1,6 @@
 (** Experiment registry: every table and figure of the paper's evaluation,
-    addressable by id for the CLI and the benchmark harness. *)
+    plus the DESIGN.md §5 ablations and sweeps, addressable by id for the
+    CLI and perfbench. *)
 
 type entry = {
   id : string;  (** e.g. "fig8a" *)
@@ -8,8 +9,9 @@ type entry = {
 }
 
 val all : entry list
-(** In paper order: table1, fig5a, fig5b, fig6a, fig6b, fig6c, fig7,
-    fig8a, fig8b, fig8c, fig9, fig10a, fig10b. *)
+(** The paper's figures in paper order (table1, fig5a … fig10b), then
+    the extensions (cluster, clusterf, openloop), then the ablations
+    (ids [ablation-*]) and the sweeps (ids [sweep-*]). *)
 
 val find : string -> entry option
 
@@ -23,6 +25,3 @@ val run_selected : ?jobs:int -> ?fault:Fault.Plan.spec -> entry list -> unit
     header) on up to [jobs] domains via {!Fanout.run}; output is printed
     in entry order and is byte-identical to a sequential run.  [fault]
     injects faults from a per-job fresh plan (see {!Fanout.run}). *)
-
-val run_all : ?jobs:int -> ?fault:Fault.Plan.spec -> unit -> unit
-(** Runs every experiment, with the scale note printed once up front. *)

@@ -101,21 +101,6 @@ let alloc_reuse_prop =
           !ok)
         !blobs)
 
-(* ---- File namespace ---- *)
-
-let file_ns_basic () =
-  let s = mk () in
-  let ns = Blobstore.File_ns.create s in
-  let f1 = Blobstore.File_ns.open_file ns "/data/a.sst" ~size_pages:64 in
-  let f2 = Blobstore.File_ns.open_file ns "/data/a.sst" ~size_pages:32 in
-  checki "same blob on reopen" (Blobstore.Store.blob_id f1) (Blobstore.Store.blob_id f2);
-  let f3 = Blobstore.File_ns.open_file ns "/data/a.sst" ~size_pages:128 in
-  checki "grown on bigger open" 128 (Blobstore.Store.blob_pages f3);
-  checki "two names max one file" 1 (List.length (Blobstore.File_ns.files ns));
-  Alcotest.(check bool) "unlink" true (Blobstore.File_ns.unlink ns "/data/a.sst");
-  Alcotest.(check bool) "unlink twice" false (Blobstore.File_ns.unlink ns "/data/a.sst");
-  Alcotest.(check bool) "lookup gone" true (Blobstore.File_ns.lookup ns "/data/a.sst" = None)
-
 let () =
   Alcotest.run "blobstore"
     [
@@ -130,5 +115,4 @@ let () =
           Alcotest.test_case "contiguous runs" `Quick contiguous_runs;
           QCheck_alcotest.to_alcotest alloc_reuse_prop;
         ] );
-      ("file_ns", [ Alcotest.test_case "open/unlink" `Quick file_ns_basic ]);
     ]

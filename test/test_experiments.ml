@@ -4,17 +4,31 @@
 
 let checki = Alcotest.(check int)
 
+let ids_of = List.map (fun e -> e.Experiments.Registry.id)
+
+let ablation_ids =
+  [
+    "ablation-policy"; "ablation-tlb-batching"; "ablation-memcpy";
+    "ablation-readahead"; "ablation-uring";
+  ]
+
+let sweep_ids = [ "sweep-cache-size"; "sweep-evict-batch" ]
+
 let registry_complete () =
-  let ids = List.map (fun e -> e.Experiments.Registry.id) Experiments.Registry.all in
+  let ids = ids_of Experiments.Registry.all in
   List.iter
     (fun id ->
       Alcotest.(check bool) (id ^ " present") true (List.mem id ids))
-    [
-      "table1"; "fig5a"; "fig5b"; "fig6a"; "fig6b"; "fig6c"; "fig7"; "fig8a";
-      "fig8b"; "fig8c"; "fig9"; "fig10a"; "fig10b";
-    ];
+    ([
+       "table1"; "fig5a"; "fig5b"; "fig6a"; "fig6b"; "fig6c"; "fig7"; "fig8a";
+       "fig8b"; "fig8c"; "fig9"; "fig10a"; "fig10b";
+     ]
+    @ ablation_ids @ sweep_ids);
   checki "no duplicates" (List.length ids)
     (List.length (List.sort_uniq compare ids));
+  let prefix p = ids_of (Experiments.Registry.find_prefix p) in
+  Alcotest.(check (list string)) "ablation group" ablation_ids (prefix "ablation");
+  Alcotest.(check (list string)) "sweep group" sweep_ids (prefix "sweep");
   Alcotest.(check bool) "find works" true (Experiments.Registry.find "fig7" <> None);
   Alcotest.(check bool) "find unknown" true (Experiments.Registry.find "fig99" = None)
 
