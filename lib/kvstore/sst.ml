@@ -2,7 +2,6 @@ let psz = Hw.Defs.page_size
 
 type t = {
   file : Env.file;
-  sname : string;
   fkey : string;
   lkey : string;
   nrecs : int;
@@ -11,6 +10,12 @@ type t = {
   nindex : int;
   bloom_page0 : int;
   nbloom : int;
+  (* Parsed from the bytes the first read of each returned; later reads
+     still go through the env, into [discard]. *)
+  mutable bloom : Bloom.t option;
+  mutable index : (string * int) array option;
+  mutable discard : Bytes.t; (* never looked at *)
+  mutable free_blocks : Bytes.t list; (* idle 4 KiB block buffers *)
 }
 
 let record_bytes k v = 6 + String.length k + String.length v
@@ -27,7 +32,7 @@ let pack_blocks records =
     | None -> ()
     | Some fk ->
         let b = Bytes.make psz '\000' in
-        Bytes.blit (Buffer.to_bytes cur) 0 b 0 (Buffer.length cur);
+        Buffer.blit cur 0 b 0 (Buffer.length cur);
         blocks := (fk, b) :: !blocks;
         Buffer.clear cur;
         cur_first := None
@@ -38,10 +43,8 @@ let pack_blocks records =
       if need > psz then invalid_arg "Sst: record larger than a block";
       if Buffer.length cur + need > psz then flush ();
       if !cur_first = None then cur_first := Some k;
-      let hdr = Bytes.create 6 in
-      Bytes.set_uint16_le hdr 0 (String.length k);
-      Bytes.set_int32_le hdr 2 (Int32.of_int (String.length v));
-      Buffer.add_bytes cur hdr;
+      Buffer.add_uint16_le cur (String.length k);
+      Buffer.add_int32_le cur (Int32.of_int (String.length v));
       Buffer.add_string cur k;
       Buffer.add_string cur v)
     records;
@@ -52,24 +55,26 @@ let pack_index firsts =
   let buf = Buffer.create psz in
   List.iteri
     (fun block_no fk ->
-      let hdr = Bytes.create 6 in
-      Bytes.set_uint16_le hdr 0 (String.length fk);
-      Bytes.set_int32_le hdr 2 (Int32.of_int block_no);
-      Buffer.add_bytes buf hdr;
+      Buffer.add_uint16_le buf (String.length fk);
+      Buffer.add_int32_le buf (Int32.of_int block_no);
       Buffer.add_string buf fk)
     firsts;
   let len = Buffer.length buf in
   let pages = max 1 ((len + psz - 1) / psz) in
   let out = Bytes.make (pages * psz) '\000' in
-  Bytes.blit (Buffer.to_bytes buf) 0 out 0 len;
+  Buffer.blit buf 0 out 0 len;
   (out, pages)
 
 let build env ~name records =
-  (match records with [] -> invalid_arg "Sst.build: empty" | _ -> ());
+  let nrecs, lkey =
+    match records with
+    | [] -> invalid_arg "Sst.build: empty"
+    | (k, _) :: rest -> List.fold_left (fun (n, _) (k, _) -> (n + 1, k)) (1, k) rest
+  in
   let blocks = pack_blocks records in
   let firsts = List.map fst blocks in
   let index_bytes, nindex = pack_index firsts in
-  let bloom = Bloom.create ~expected_keys:(List.length records) in
+  let bloom = Bloom.create ~expected_keys:nrecs in
   List.iter (fun (k, _) -> Bloom.add bloom k) records;
   let bloom_ser = Bloom.serialize bloom in
   let nbloom = max 1 ((Bytes.length bloom_ser + psz - 1) / psz) in
@@ -87,15 +92,18 @@ let build env ~name records =
   Env.sync file;
   {
     file;
-    sname = name;
     fkey = fst (List.hd records);
-    lkey = fst (List.nth records (List.length records - 1));
-    nrecs = List.length records;
+    lkey;
+    nrecs;
     ndata;
     index_page0 = ndata;
     nindex;
     bloom_page0 = ndata + nindex;
     nbloom;
+    bloom = None;
+    index = None;
+    discard = Bytes.empty;
+    free_blocks = [];
   }
 
 let first_key t = t.fkey
@@ -106,15 +114,33 @@ let total_pages t = t.ndata + t.nindex + t.nbloom
 
 (* ---- reading ---- *)
 
-let read_bloom t =
-  let b = Bytes.create (t.nbloom * psz) in
-  Env.read t.file ~off:(t.bloom_page0 * psz) ~len:(t.nbloom * psz) ~dst:b;
-  Bloom.deserialize b
+(* Every lookup reads the filter and the index through the env.  Their
+   parsed form is kept from the first read; later reads land in
+   [t.discard] and are never looked at, so the env still sees, charges and
+   may fail the same access. *)
+let discard_read t ~off ~len =
+  if Bytes.length t.discard < len then t.discard <- Bytes.create len;
+  Env.read t.file ~off ~len ~dst:t.discard
 
-let read_index t =
-  let b = Bytes.create (t.nindex * psz) in
-  Env.read t.file ~off:(t.index_page0 * psz) ~len:(t.nindex * psz) ~dst:b;
-  (* parse entries *)
+(* Bytes that will be parsed need a buffer of their own: another get may
+   read into [t.discard] while this read is suspended. *)
+let first_read t ~off ~len =
+  let b = Bytes.create len in
+  Env.read t.file ~off ~len ~dst:b;
+  b
+
+let read_bloom t =
+  let off = t.bloom_page0 * psz and len = t.nbloom * psz in
+  match t.bloom with
+  | Some bloom ->
+      discard_read t ~off ~len;
+      bloom
+  | None ->
+      let bloom = Bloom.deserialize (first_read t ~off ~len) in
+      t.bloom <- Some bloom;
+      bloom
+
+let parse_index b =
   let entries = ref [] in
   let pos = ref 0 in
   let continue_ = ref true in
@@ -130,41 +156,102 @@ let read_index t =
   done;
   Array.of_list (List.rev !entries)
 
+let read_index t =
+  let off = t.index_page0 * psz and len = t.nindex * psz in
+  match t.index with
+  | Some index ->
+      discard_read t ~off ~len;
+      index
+  | None ->
+      let index = parse_index (first_read t ~off ~len) in
+      t.index <- Some index;
+      index
+
 (* Largest index entry with first_key <= key. *)
 let locate_block index key =
   let n = Array.length index in
-  if n = 0 || fst index.(0) > key then None
+  if n = 0 || String.compare (fst index.(0)) key > 0 then None
   else begin
     let lo = ref 0 and hi = ref (n - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
-      if fst index.(mid) <= key then lo := mid else hi := mid - 1
+      if String.compare (fst index.(mid)) key <= 0 then lo := mid else hi := mid - 1
     done;
     Some (snd index.(!lo))
   end
 
-let parse_block b f =
-  let pos = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !pos + 6 <= psz do
-    let klen = Bytes.get_uint16_le b !pos in
-    if klen = 0 then continue_ := false
-    else begin
-      let vlen = Int32.to_int (Bytes.get_int32_le b (!pos + 2)) in
-      let k = Bytes.sub_string b (!pos + 6) klen in
-      let v = Bytes.sub_string b (!pos + 6 + klen) vlen in
-      if not (f k v) then continue_ := false;
-      pos := !pos + 6 + klen + vlen
-    end
-  done
-
+(* Block buffers come from a per-SST free list: a get can suspend between
+   its block read and its parse, while another get on the same SST runs. *)
 let read_block t block_no =
-  let b = Bytes.create psz in
+  let b =
+    match t.free_blocks with
+    | b :: rest ->
+        t.free_blocks <- rest;
+        b
+    | [] -> Bytes.create psz
+  in
   Env.read t.file ~off:(block_no * psz) ~len:psz ~dst:b;
   b
 
+let release_block t b = t.free_blocks <- b :: t.free_blocks
+
+let value_len b pos = Int32.to_int (Bytes.get_int32_le b (pos + 2))
+
+(* [key_len b pos] is the key length of the record at [pos], or 0 at the
+   end of the block. *)
+let key_len b pos =
+  if pos + 6 > psz then 0
+  else begin
+    let klen = Bytes.get_uint16_le b pos in
+    if klen > 0 then begin
+      let vlen = value_len b pos in
+      if vlen < 0 || pos + 6 + klen + vlen > psz then invalid_arg "Sst: corrupt block"
+    end;
+    klen
+  end
+
+let parse_block b f =
+  let rec go pos =
+    let klen = key_len b pos in
+    if klen > 0 then begin
+      let vlen = value_len b pos in
+      let k = Bytes.sub_string b (pos + 6) klen in
+      let v = Bytes.sub_string b (pos + 6 + klen) vlen in
+      if f k v then go (pos + 6 + klen + vlen)
+    end
+  in
+  go 0
+
+(* Orders the [klen]-byte key stored at [pos] against [key] as
+   [String.compare] does, without copying it. *)
+let compare_stored b pos klen key =
+  let n = String.length key in
+  let rec go i =
+    if i = klen || i = n then Int.compare klen n
+    else
+      let c = Char.compare (Bytes.get b (pos + i)) key.[i] in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
+(* In-place search of a block's sorted records: only the value found is
+   copied out. *)
+let find_in_block b key =
+  let rec go pos =
+    let klen = key_len b pos in
+    if klen = 0 then None
+    else begin
+      let vlen = value_len b pos in
+      let c = compare_stored b (pos + 6) klen key in
+      if c = 0 then Some (Bytes.sub_string b (pos + 6 + klen) vlen)
+      else if c < 0 then go (pos + 6 + klen + vlen)
+      else None
+    end
+  in
+  go 0
+
 let get t key =
-  if key < t.fkey || key > t.lkey then None
+  if String.compare key t.fkey < 0 || String.compare key t.lkey > 0 then None
   else begin
     let bloom = read_bloom t in
     Kv_costs.(charge "kv_get_bloom" bloom_probe);
@@ -177,23 +264,20 @@ let get t key =
       | Some block_no ->
           let b = read_block t block_no in
           Kv_costs.(charge "kv_get_block" block_scan);
-          let found = ref None in
-          parse_block b (fun k v ->
-              if k = key then begin
-                found := Some v;
-                false
-              end
-              else k < key);
-          !found
+          let found = find_in_block b key in
+          release_block t b;
+          found
     end
   end
 
-let iter_from t ~start ~f =
+let locate_start_block t start =
   let index = read_index t in
   Kv_costs.(charge "kv_scan_index" index_search);
-  let start_block = match locate_block index start with None -> 0 | Some b -> b in
+  match locate_block index start with None -> 0 | Some b -> b
+
+let iter_from t ~start ~f =
+  let block = ref (locate_start_block t start) in
   let stop = ref false in
-  let block = ref start_block in
   while (not !stop) && !block < t.ndata do
     let b = read_block t !block in
     Kv_costs.(charge "kv_scan_block" block_scan);
@@ -204,13 +288,9 @@ let iter_from t ~start ~f =
           stop := true;
           false
         end);
+    release_block t b;
     incr block
   done
-
-let locate_start_block t start =
-  let index = read_index t in
-  Kv_costs.(charge "kv_scan_index" index_search);
-  match locate_block index start with None -> 0 | Some b -> b
 
 let read_block_records t b =
   if b < 0 || b >= t.ndata then invalid_arg "Sst.read_block_records";
@@ -220,6 +300,7 @@ let read_block_records t b =
   parse_block bytes (fun k v ->
       acc := (k, v) :: !acc;
       true);
+  release_block t bytes;
   List.rev !acc
 
 let delete t = Env.delete t.file

@@ -2,11 +2,16 @@
 
     Layout (page-aligned): data blocks of 4 KiB holding
     [u16 klen | u32 vlen | key | value] records, followed by an index area
-    (first key of every block) and a serialized bloom filter.  Only the
-    page layout and key range live in memory (the manifest); gets read the
-    filter, index and data {e through the environment}, so the cost of
-    metadata access follows the configured I/O path, as it does in each of
-    the paper's setups. *)
+    (first key of every block) and a serialized bloom filter.  The page
+    layout and key range live in memory (the manifest).  As in RocksDB,
+    the parsed filter and index stay resident once the first get has read
+    them; they are parsed from the bytes that read returned, not from
+    [build]'s input.  Every get still reads the filter, index and data
+    {e through the environment}, at the same offsets and in the same
+    order, and is charged for (and may fail on) those reads, so the cost
+    of metadata access follows the configured I/O path, as it does in each
+    of the paper's setups.  Block buffers are reused per SST, and a get
+    searches its block in place, copying out only the value found. *)
 
 type t
 

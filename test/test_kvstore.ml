@@ -145,6 +145,106 @@ let sst_rejects_oversized () =
             (Kvstore.Sst.build env ~name:"big.sst"
                [ ("k", String.make 5000 'x') ])))
 
+(* Rig for the tests below: a direct-I/O env whose user cache holds one
+   block per shard, so reading 16 pages of another file evicts every
+   cached page of an SST. *)
+let make_tiny_env () =
+  let store = Blobstore.Store.create ~capacity_pages:65536 () in
+  let pmem = Sdevice.Pmem.create ~capacity_bytes:(Int64.of_int (65536 * psz)) () in
+  let access = Sdevice.Access.dax_pmem Hw.Costs.default pmem in
+  let ucache =
+    Uspace.User_cache.create (Uspace.User_cache.default_config ~capacity_pages:16)
+  in
+  Kvstore.Env.direct_ucache ~store ~costs:Hw.Costs.default ~device_access:access
+    ~ucache
+
+let evict_all env =
+  let f = Kvstore.Env.create_file env ~name:"evictor" ~size_pages:16 in
+  Kvstore.Env.read f ~off:0 ~len:(16 * psz) ~dst:(Bytes.create (16 * psz))
+
+let always_fail_reads =
+  Fault.Plan.make { Fault.Plan.default with Fault.Plan.read_error = 1.0 }
+
+let raises_io_error f =
+  match f () with _ -> false | exception Fault.Io_error { write = false; _ } -> true
+
+(* The parsed filter and index stay resident after the first get, but
+   every get still reads them through the env: once the env's cache is
+   cold, an injected read error surfaces even for a key the filter
+   rejects, which never reaches a data block. *)
+let sst_cached_metadata_reads_env () =
+  let env = make_tiny_env () in
+  in_sim (fun () ->
+      let sst = Kvstore.Sst.build env ~name:"meta.sst" (records 500) in
+      Alcotest.(check (option string)) "warm-up hit" (Some "value-000123")
+        (Kvstore.Sst.get sst "key000123");
+      Alcotest.(check (option string)) "warm-up filter miss" None
+        (Kvstore.Sst.get sst "key000123x");
+      evict_all env;
+      Fault.with_plan always_fail_reads (fun () ->
+          Alcotest.(check bool) "hit raises the injected error" true
+            (raises_io_error (fun () -> Kvstore.Sst.get sst "key000123"));
+          Alcotest.(check bool) "filter miss raises the injected error" true
+            (raises_io_error (fun () -> Kvstore.Sst.get sst "key000123x"))))
+
+(* A warm get charges the same virtual cycles as when every get re-read
+   and re-parsed the filter and index (figures recorded before they
+   became resident). *)
+let sst_warm_get_cycles () =
+  let env = make_env () in
+  in_sim (fun () ->
+      let sst = Kvstore.Sst.build env ~name:"warm.sst" (records 500) in
+      let cost key =
+        let t0 = Sim.Engine.now_f () in
+        ignore (Kvstore.Sst.get sst key);
+        Int64.sub (Sim.Engine.now_f ()) t0
+      in
+      let cold = cost "key000123" in
+      let warm = cost "key000123" in
+      let warm_miss = cost "key000123x" in
+      Alcotest.(check int64) "cold get" 30040L cold;
+      Alcotest.(check int64) "warm get" 14620L warm;
+      Alcotest.(check int64) "warm filter miss" 3540L warm_miss)
+
+(* Eight fibers interleave gets on one SST over an Aquila env whose cache
+   is far smaller than the file, so block reads fault and suspend
+   mid-get. *)
+let sst_concurrent_gets () =
+  let module Sm = Map.Make (String) in
+  let recs =
+    List.init 2000 (fun i ->
+        (Printf.sprintf "key%06d" (2 * i), Printf.sprintf "value-%06d-%s" i (String.make 100 'v')))
+  in
+  let model = List.fold_left (fun m (k, v) -> Sm.add k v m) Sm.empty recs in
+  let store = Blobstore.Store.create ~capacity_pages:65536 () in
+  let dev = Sdevice.Nvme.create ~name:"sst-nvme" () in
+  let ctx = Aquila.Context.create (Aquila.Context.default_config ~cache_frames:16) in
+  let access = Sdevice.Access.spdk_nvme (Aquila.Context.costs ctx) dev in
+  let env = Kvstore.Env.aquila ~store ~ctx ~device_access:access in
+  let eng = Sim.Engine.create () in
+  let mismatches = ref 0 and gets = ref 0 and faults0 = ref 0 in
+  ignore
+    (Sim.Engine.spawn eng ~core:0 (fun () ->
+         let sst = Kvstore.Sst.build env ~name:"conc.sst" recs in
+         faults0 := Aquila.Context.faults ctx;
+         for f = 0 to 7 do
+           ignore
+             (Sim.Engine.spawn eng ~core:(f mod 4) (fun () ->
+                  let rng = Random.State.make [| f |] in
+                  for _ = 1 to 150 do
+                    (* odd keys are absent but fall inside the key range *)
+                    let key = Printf.sprintf "key%06d" (Random.State.int rng 4000) in
+                    incr gets;
+                    if Kvstore.Sst.get sst key <> Sm.find_opt key model then
+                      incr mismatches
+                  done))
+         done));
+  Sim.Engine.run eng;
+  checki "gets" 1200 !gets;
+  Alcotest.(check bool) "block reads faulted" true
+    (Aquila.Context.faults ctx - !faults0 > 500);
+  checki "mismatches against the model" 0 !mismatches
+
 (* ---- RocksDB ---- *)
 
 let rocksdb_put_get_flush () =
@@ -513,6 +613,9 @@ let () =
           Alcotest.test_case "iter" `Quick sst_iter;
           Alcotest.test_case "oversized record" `Quick sst_rejects_oversized;
           QCheck_alcotest.to_alcotest sst_property;
+          Alcotest.test_case "cached metadata reads env" `Quick sst_cached_metadata_reads_env;
+          Alcotest.test_case "warm get cycles" `Quick sst_warm_get_cycles;
+          Alcotest.test_case "concurrent gets" `Quick sst_concurrent_gets;
         ] );
       ( "rocksdb",
         [
