@@ -21,7 +21,13 @@ let thread_counts = [ 1; 8; 16 ]
 let frames_small = heap_pages / 8
 let frames_large = heap_pages / 4
 
-let graph = lazy (Ligra.Rmat.generate ~seed:12 ~n:n_vertices ~m:n_edges ())
+(* Built once and shared read-only by every run.  Under [--jobs] several
+   domains may ask for it at once, and forcing a [lazy] that another
+   domain is forcing raises [CamlinternalLazy.Undefined], so the force
+   is serialised. *)
+let graph_lazy = lazy (Ligra.Rmat.generate ~seed:12 ~n:n_vertices ~m:n_edges ())
+let graph_lock = Mutex.create ()
+let graph () = Mutex.protect graph_lock (fun () -> Lazy.force graph_lazy)
 
 type cfgkind = Dram_only | Mmap_pmem | Mmap_nvme | Aquila_pmem | Aquila_nvme
 
@@ -41,7 +47,7 @@ type run_out = {
 
 let run_one ~cfg ~frames ~threads =
   let eng = Sim.Engine.create () in
-  let g = Lazy.force graph in
+  let g = graph () in
   let surface_ref = ref None in
   (* surfaces must be created inside a fiber (mmap charges costs) *)
   ignore

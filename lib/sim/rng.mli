@@ -3,7 +3,14 @@
     Every stochastic choice in the simulator draws from an explicit [Rng.t]
     so that simulations replay bit-for-bit given the same seed.  [split]
     derives independent streams, used to give each simulated thread its own
-    generator without cross-thread ordering effects. *)
+    generator without cross-thread ordering effects.
+
+    Draws allocate nothing.  The state is kept unboxed, so [int] and
+    [bool] never allocate; [next64], [int64] and [float] are inlined
+    wherever the build allows cross-module inlining, and otherwise (dune's
+    [-opaque] dev profile) allocate just the box of their result.  Each
+    generator owns its state, so generators on different domains are
+    independent. *)
 
 type t
 (** Mutable generator state. *)

@@ -139,6 +139,74 @@ let rng_split_independent () =
   let c = Sim.Rng.split a in
   Alcotest.(check bool) "split differs" true (Sim.Rng.next64 a <> Sim.Rng.next64 c)
 
+(* Known answers.  [create 0] must give the published SplitMix64 vectors;
+   the seed-7 draws pin each derived function's mapping from the raw
+   stream, so any change to the stream fails here and not only in a
+   figure digest. *)
+let rng_known_answers () =
+  let r = Sim.Rng.create 0 in
+  List.iter
+    (fun v -> check64 "splitmix64 vector" v (Sim.Rng.next64 r))
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ];
+  let r = Sim.Rng.create 7 in
+  check Alcotest.(list int) "int" [ 621; 951; 336; 50; 918 ]
+    (List.init 5 (fun _ -> Sim.Rng.int r 1000));
+  checki "int max_int" 1150299863866387076 (Sim.Rng.int r max_int);
+  check Alcotest.(list int64) "int64"
+    [ 653711435899L; 821841694591L; 238945538992L ]
+    (List.init 3 (fun _ -> Sim.Rng.int64 r 1_000_000_000_000L));
+  check Alcotest.(list (float 0.))
+    "float"
+    [ 0x1.a70e89da21e54p-2; 0x1.a82e79b05b5f8p-4; 0x1.eb749d6e51bacp-1 ]
+    (List.init 3 (fun _ -> Sim.Rng.float r));
+  check Alcotest.(list bool) "bool"
+    [ false; false; false; false; true; true; true; false ]
+    (List.init 8 (fun _ -> Sim.Rng.bool r));
+  let c = Sim.Rng.split r in
+  check64 "split child 1" 0x71aabb39d2275ec5L (Sim.Rng.next64 c);
+  check64 "split child 2" 0xfcd94f15f35a483dL (Sim.Rng.next64 c);
+  check64 "parent after split" 0x1b5051c62d0332cdL (Sim.Rng.next64 r)
+
+(* Draws must not box the generator state.  [int] and [bool] return
+   immediates, so they allocate nothing.  [int64] and [float] results
+   cross the module boundary boxed (3 and 2 words) when the caller cannot
+   inline them, as under the default -opaque dev profile; the consumer
+   here unboxes them straight away, so that box is all they may cost. *)
+let rng_draws_do_not_allocate () =
+  let n = 10_000 in
+  let words_per_draw draws =
+    let r = Sim.Rng.create 1 in
+    let before = Gc.minor_words () in
+    let acc = draws r n in
+    let words = Gc.minor_words () -. before in
+    ignore (Sys.opaque_identity acc);
+    int_of_float (words /. float_of_int n)
+  in
+  let int r n =
+    let acc = ref 0 in
+    for _ = 1 to n do acc := !acc + Sim.Rng.int r 100 done;
+    !acc
+  in
+  let bool r n =
+    let acc = ref 0 in
+    for _ = 1 to n do if Sim.Rng.bool r then incr acc done;
+    !acc
+  in
+  let int64 r n =
+    let acc = ref 0 in
+    for _ = 1 to n do acc := !acc + Int64.to_int (Sim.Rng.int64 r 100L) done;
+    !acc
+  in
+  let float r n =
+    let acc = ref 0 in
+    for _ = 1 to n do if Sim.Rng.float r < 0.5 then incr acc done;
+    !acc
+  in
+  checki "int words/draw" 0 (words_per_draw int);
+  checki "bool words/draw" 0 (words_per_draw bool);
+  Alcotest.(check bool) "int64 words/draw <= 3" true (words_per_draw int64 <= 3);
+  Alcotest.(check bool) "float words/draw <= 2" true (words_per_draw float <= 2)
+
 let rng_bounds =
   QCheck.Test.make ~name:"rng int stays in bounds" ~count:500
     QCheck.(pair (int_range 1 1000000) small_int)
@@ -539,6 +607,8 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick rng_deterministic;
           Alcotest.test_case "split" `Quick rng_split_independent;
+          Alcotest.test_case "known answers" `Quick rng_known_answers;
+          Alcotest.test_case "draws do not allocate" `Quick rng_draws_do_not_allocate;
           QCheck_alcotest.to_alcotest rng_bounds;
         ] );
       ( "engine",
