@@ -21,23 +21,11 @@ let maybe_flush ch =
     Int64.compare (Int64.add ch.compute (Sim.Costbuf.total ch.buf)) 200_000L > 0
   then flush_charger ch
 
-let transpose (g : Graph.t) =
-  let pairs = Array.make g.Graph.m (0, 0) in
-  let idx = ref 0 in
-  for v = 0 to g.Graph.n - 1 do
-    for e = g.Graph.offsets.(v) to g.Graph.offsets.(v + 1) - 1 do
-      pairs.(!idx) <- (g.Graph.edges.(e), v);
-      incr idx
-    done
-  done;
-  Graph.of_edge_array ~n:g.Graph.n pairs
-
 let run ~eng ~(graph : Graph.t) ~surface ~threads ~source ?(cycles_per_edge = 60L)
     ?(cycles_per_vertex = 120L) () =
   if source < 0 || source >= graph.Graph.n then invalid_arg "Bfs.run: source";
   if threads <= 0 then invalid_arg "Bfs.run: threads";
   let n = graph.Graph.n and m = graph.Graph.m in
-  let gin = transpose graph in
   let start_time = Sim.Engine.now eng in
   let ctxs = ref [] in
   let rounds = ref 0 in
@@ -45,11 +33,13 @@ let run ~eng ~(graph : Graph.t) ~surface ~threads ~source ?(cycles_per_edge = 60
   let main_ctx =
     Sim.Engine.spawn eng ~name:"bfs-driver" ~core:0 (fun () ->
         let buf0 = Sim.Costbuf.create () in
-        (* Surface-resident arrays: out CSR, in CSR, parents, dense bits. *)
-        let offs = Mem_surface.alloc surface ~len:(n + 1) ~init:(fun i -> graph.Graph.offsets.(i)) in
-        let edgs = Mem_surface.alloc surface ~len:(max 1 m) ~init:(fun i -> if m = 0 then 0 else graph.Graph.edges.(i)) in
-        let in_offs = Mem_surface.alloc surface ~len:(n + 1) ~init:(fun i -> gin.Graph.offsets.(i)) in
-        let in_edgs = Mem_surface.alloc surface ~len:(max 1 m) ~init:(fun i -> if m = 0 then 0 else gin.Graph.edges.(i)) in
+        (* Surface-resident arrays: out CSR, in CSR, parents, dense bits.
+           The CSR arrays are the graph's own, placed read-only. *)
+        let place_edges a = Mem_surface.place surface (if m = 0 then [| 0 |] else a) in
+        let offs = Mem_surface.place surface graph.Graph.offsets in
+        let edgs = place_edges graph.Graph.edges in
+        let in_offs = Mem_surface.place surface graph.Graph.in_offsets in
+        let in_edgs = place_edges graph.Graph.in_edges in
         let parent = Mem_surface.alloc surface ~len:n ~init:(fun _ -> -1) in
         let cur_dense = Mem_surface.alloc surface ~len:n ~init:(fun _ -> false) in
         let next_dense = Mem_surface.alloc surface ~len:n ~init:(fun _ -> false) in

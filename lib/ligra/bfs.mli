@@ -5,7 +5,11 @@
     over simulated threads with per-round barriers — the workload of the
     paper's Section 6.2.  All arrays (CSR out- and in-edges, parents,
     frontiers) live on a {!Mem_surface.t}, so the same code runs
-    in-memory, over Linux [mmap], or over Aquila. *)
+    in-memory, over Linux [mmap], or over Aquila.  The four CSR arrays
+    are the {!Graph.t}'s own, {!Mem_surface.place}d read-only rather
+    than copied, so one graph can serve many runs, on several domains
+    at once; bottom-up rounds probe each in-list in {!Graph.t}'s
+    in-edge order. *)
 
 type result = {
   rounds : int;

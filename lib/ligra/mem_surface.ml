@@ -42,23 +42,29 @@ type 'a arr = {
   surf : t;
   page0 : int;  (* first region page; -1 for DRAM *)
   alen : int;
+  writable : bool;
   mutable data : 'a array;
 }
 
+let carve t len =
+  match t.backend with
+  | Dram -> -1
+  | Aquila _ | Linux _ ->
+      (* page-align each array, as malloc-over-mmap does for large blocks *)
+      let start = (t.next_byte + psz - 1) / psz * psz in
+      let bytes = len * t.eb in
+      if start + bytes > t.limit_bytes then
+        failwith "Mem_surface: mmio heap exhausted";
+      t.next_byte <- start + bytes;
+      start / psz
+
+let place t data =
+  let alen = Array.length data in
+  { surf = t; page0 = carve t alen; alen; writable = false; data }
+
 let alloc t ~len ~init =
-  let bytes = len * t.eb in
-  let page0 =
-    match t.backend with
-    | Dram -> -1
-    | Aquila _ | Linux _ ->
-        (* page-align each array, as malloc-over-mmap does for large blocks *)
-        let start = (t.next_byte + psz - 1) / psz * psz in
-        if start + bytes > t.limit_bytes then
-          failwith "Mem_surface: mmio heap exhausted";
-        t.next_byte <- start + bytes;
-        start / psz
-  in
-  { surf = t; page0; alen = len; data = Array.init len init }
+  let page0 = carve t len in
+  { surf = t; page0; alen = len; writable = true; data = Array.init len init }
 
 let page_of a i = a.page0 + (i * a.surf.eb / psz)
 
@@ -75,6 +81,7 @@ let get a ~buf i =
   a.data.(i)
 
 let set a ~buf i v =
+  if not a.writable then invalid_arg "Mem_surface.set: placed array is read-only";
   touch a ~buf i ~write:true;
   a.data.(i) <- v
 

@@ -36,6 +36,13 @@ val alloc : t -> len:int -> init:(int -> 'a) -> 'a arr
 (** [alloc t ~len ~init] carves [len * elem_bytes] bytes from the surface.
     Raises [Failure] when an mmio surface is exhausted. *)
 
+val place : t -> 'a array -> 'a arr
+(** [place t data] carves the surface range exactly as [alloc] would for
+    [Array.length data] elements, but uses [data] itself as the backing
+    store instead of a copy.  A placed array is read-only: {!set} on it
+    raises [Invalid_argument], because [data] may be shared — one graph
+    serves BFS runs on several domains at once. *)
+
 val elem_bytes : t -> int
 
 val get : 'a arr -> buf:Sim.Costbuf.t -> int -> 'a
@@ -43,10 +50,12 @@ val get : 'a arr -> buf:Sim.Costbuf.t -> int -> 'a
 
 val set : 'a arr -> buf:Sim.Costbuf.t -> int -> 'a -> unit
 (** [set a ~buf i v] writes element [i], touching its page (write —
-    dirty-tracked on mmio surfaces). *)
+    dirty-tracked on mmio surfaces).  Raises [Invalid_argument] on a
+    {!place}d array. *)
 
 val len : 'a arr -> int
 
 val free : 'a arr -> unit
-(** Releases the OCaml backing store (the surface range is not reused —
-    Ligra's allocation pattern is phase-based). *)
+(** Drops the array's reference to its backing store; a placed array's
+    data is left to its owner.  The surface range is not reused —
+    Ligra's allocation pattern is phase-based. *)

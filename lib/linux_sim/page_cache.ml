@@ -47,6 +47,7 @@ type t = {
   lru_lock : Sim.Sync.Mutex.t;
   files : (int, file_meta) Hashtbl.t;
   inflight : (int, unit Sim.Sync.Ivar.t) Hashtbl.t;
+  wb_bufs : Sdevice.Bufpool.t; (* write-back snapshots, one per merged run *)
   flusher_waitq : Sim.Sync.Waitq.t;
   mutable flusher : (int * int) option; (* (hi, lo) watermarks *)
   mutable shoot_cores : int list;
@@ -81,6 +82,7 @@ let create ~costs ~machine ~page_table cfg =
       lru_lock = Sim.Sync.Mutex.create ~name:"lru_lock" ();
       files = Hashtbl.create 16;
       inflight = Hashtbl.create 64;
+      wb_bufs = Sdevice.Bufpool.create ~pages:(max 1 cfg.writeback_merge);
       flusher_waitq = Sim.Sync.Waitq.create ();
       flusher = None;
       shoot_cores = [];
@@ -166,22 +168,25 @@ let shootdown_vpns t ~core vpns =
    (re-tag dirty, or drop with data loss) is the caller's call. *)
 let writeback_pairs t pairs =
   let wb0 = Sim.Probe.span_start () in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) pairs in
+  let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) pairs in
   let flush file dev_start run =
     match run with
     | [] -> []
     | _ ->
         let entries = List.rev run in
         let count = List.length entries in
-        let scratch = Bytes.create (count * psz) in
+        let scratch = Sdevice.Bufpool.take t.wb_bufs in
         List.iteri
           (fun i (_, (fr : frame)) -> Bytes.blit fr.data 0 scratch (i * psz) psz)
           entries;
         let m = meta_of t file in
-        (match
-           Sdevice.Access.write_pages_result m.access ~page:dev_start ~count
-             ~src:scratch
-         with
+        let r =
+          Sdevice.Access.write_pages_result m.access ~page:dev_start ~count
+            ~src:scratch
+        in
+        (* only now has the device copied the snapshot *)
+        Sdevice.Bufpool.give t.wb_bufs scratch;
+        (match r with
         | Ok () ->
             t.s_wb_ios <- t.s_wb_ios + 1;
             Metrics.Registry.incr t.m_wb_ios;

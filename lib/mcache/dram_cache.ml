@@ -55,6 +55,7 @@ type t = {
   dirty : Dirty_set.t;
   files : (int, backend) Hashtbl.t;
   inflight : (int, unit Sim.Sync.Ivar.t) Hashtbl.t;
+  wb_bufs : Sdevice.Bufpool.t; (* write-back snapshots, one per merged run *)
   mutable evicting : bool;
   evict_waiters : Sim.Sync.Waitq.t;
   wb_waitq : Sim.Sync.Waitq.t;
@@ -121,6 +122,7 @@ let create ~costs ~machine ~page_table cfg =
       dirty = Dirty_set.create costs ~cores:topo.Hw.Topology.cores;
       files = Hashtbl.create 16;
       inflight = Hashtbl.create 64;
+      wb_bufs = Sdevice.Bufpool.create ~pages:(max 1 cfg.writeback_merge);
       evicting = false;
       evict_waiters = Sim.Sync.Waitq.create ();
       wb_waitq = Sim.Sync.Waitq.create ();
@@ -231,15 +233,18 @@ let writeback_frames t frames buf =
     | _ :: _ -> (
         let frames_in_order = List.rev run in
         let count = List.length frames_in_order in
-        let scratch = Bytes.create (count * psz) in
+        let scratch = Sdevice.Bufpool.take t.wb_bufs in
         List.iteri
           (fun i (fr : frame) -> Bytes.blit fr.data 0 scratch (i * psz) psz)
           frames_in_order;
         let backend = backend_of t file in
-        match
+        let r =
           Sdevice.Access.write_pages_result backend.access ~page:dev_start ~count
             ~src:scratch
-        with
+        in
+        (* only now has the device copied the snapshot *)
+        Sdevice.Bufpool.give t.wb_bufs scratch;
+        match r with
         | Ok () ->
             t.s_wb_ios <- t.s_wb_ios + 1;
             t.s_wb_pages <- t.s_wb_pages + count;

@@ -25,7 +25,22 @@ let csr_model =
       for v = 0 to 19 do
         Ligra.Graph.iter_neighbors g v (fun d -> out := (v, d) :: !out)
       done;
-      List.sort compare !out = List.sort compare edges)
+      List.sort compare !out = List.sort compare edges
+      (* v's in-list: the sources of all edges u->v, ascending by u, with
+         multiplicity *)
+      && List.for_all
+           (fun v ->
+             let got =
+               Array.to_list
+                 (Array.sub g.Ligra.Graph.in_edges g.Ligra.Graph.in_offsets.(v)
+                    (g.Ligra.Graph.in_offsets.(v + 1) - g.Ligra.Graph.in_offsets.(v)))
+             in
+             let want =
+               List.sort compare
+                 (List.filter_map (fun (u, d) -> if d = v then Some u else None) edges)
+             in
+             got = want)
+           (List.init 20 Fun.id))
 
 (* ---- R-MAT ---- *)
 
@@ -97,6 +112,51 @@ let surface_exhaustion () =
              ignore (Ligra.Mem_surface.alloc s ~len:2000 ~init:(fun _ -> 0)))));
   Sim.Engine.run eng
 
+let surface_place () =
+  let mk = make_aquila_surface ~heap_pages:64 ~frames:32 () in
+  let eng = Sim.Engine.create () in
+  ignore
+    (Sim.Engine.spawn eng ~core:0 (fun () ->
+         let s = mk () in
+         let data = Array.init 1000 (fun i -> i * 7) in
+         let a = Ligra.Mem_surface.place s data in
+         let b = Ligra.Mem_surface.alloc s ~len:10 ~init:(fun i -> i) in
+         let buf = Sim.Costbuf.create () in
+         checki "placed value" 70 (Ligra.Mem_surface.get a ~buf 10);
+         checki "placed len" 1000 (Ligra.Mem_surface.len a);
+         Alcotest.check_raises "placed arrays are read-only"
+           (Invalid_argument "Mem_surface.set: placed array is read-only")
+           (fun () -> Ligra.Mem_surface.set a ~buf 10 99);
+         checki "data untouched" 70 data.(10);
+         Ligra.Mem_surface.set b ~buf 3 42;
+         checki "allocated arrays stay writable" 42 (Ligra.Mem_surface.get b ~buf 3);
+         Sim.Costbuf.charge buf));
+  Sim.Engine.run eng
+
+(* [place] carves exactly the range [alloc] would: on a 4-page heap (2048
+   8-byte slots), two page-aligned 1000-element arrays fit and a third
+   element does not, whichever call made each array. *)
+let place_carves_like_alloc () =
+  let alloc s len = ignore (Ligra.Mem_surface.alloc s ~len ~init:(fun _ -> 0)) in
+  let place s len = ignore (Ligra.Mem_surface.place s (Array.make len 0)) in
+  List.iter
+    (fun (name, first, second, third) ->
+      let mk = make_aquila_surface ~heap_pages:4 ~frames:32 () in
+      let eng = Sim.Engine.create () in
+      ignore
+        (Sim.Engine.spawn eng ~core:0 (fun () ->
+             let s = mk () in
+             first s 1000;
+             second s 1000;
+             Alcotest.check_raises name
+               (Failure "Mem_surface: mmio heap exhausted") (fun () -> third s 1)));
+      Sim.Engine.run eng)
+    [
+      ("place, alloc, place", place, alloc, place);
+      ("alloc, place, alloc", alloc, place, alloc);
+      ("place, place, place", place, place, place);
+    ]
+
 let dram_surface_is_free () =
   let eng = Sim.Engine.create () in
   ignore
@@ -152,6 +212,41 @@ let bfs_agrees_across_surfaces () =
   Alcotest.(check (pair int int)) "dram = aquila" dram aq1;
   Alcotest.(check int) "threads don't change coverage" (fst dram) (fst aq8)
 
+(* Known answers.  Any change to the in-edge order moves bottom-up BFS's
+   parent choices and page touches, and so these cycle counts: reversing
+   each in-list gives 518 366 and 205 446. *)
+let bfs_known_answer_on_mmio () =
+  let g = Ligra.Rmat.generate ~seed:21 ~n:500 ~m:4000 () in
+  let run threads =
+    let mk = make_aquila_surface ~heap_pages:512 ~frames:128 () in
+    let eng = Sim.Engine.create () in
+    let sref = ref None in
+    ignore (Sim.Engine.spawn eng ~core:0 (fun () -> sref := Some (mk ())));
+    Sim.Engine.run eng;
+    let r = Ligra.Bfs.run ~eng ~graph:g ~surface:(Option.get !sref) ~threads ~source:0 () in
+    (r.Ligra.Bfs.elapsed_cycles, r.Ligra.Bfs.visited, r.Ligra.Bfs.rounds)
+  in
+  let known = Alcotest.(triple int64 int int) in
+  Alcotest.check known "1 thread" (360_566L, 362, 4) (run 1);
+  Alcotest.check known "8 threads" (136_860L, 362, 4) (run 8)
+
+(* The CSR arrays are placed, not copied: a run allocates only its own
+   per-vertex arrays, frontiers and fibers. *)
+let bfs_allocation_per_edge () =
+  let g = Ligra.Rmat.generate ~seed:21 ~n:20000 ~m:200000 () in
+  List.iter
+    (fun threads ->
+      let eng = Sim.Engine.create () in
+      let surface = Ligra.Mem_surface.dram () in
+      let b0 = Gc.allocated_bytes () in
+      ignore (Ligra.Bfs.run ~eng ~graph:g ~surface ~threads ~source:0 ());
+      let words = (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8) in
+      let per_edge = words /. float_of_int g.Ligra.Graph.m in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d threads: %.2f words/edge < 4" threads per_edge)
+        true (per_edge < 4.0))
+    [ 1; 2 ]
+
 let bfs_dense_switch_runs () =
   (* a star graph forces a huge frontier after round 1: exercises the
      bottom-up (dense) path *)
@@ -184,6 +279,8 @@ let () =
         [
           Alcotest.test_case "alloc/get/set" `Quick surface_alloc_get_set;
           Alcotest.test_case "exhaustion" `Quick surface_exhaustion;
+          Alcotest.test_case "place" `Quick surface_place;
+          Alcotest.test_case "place carves like alloc" `Quick place_carves_like_alloc;
           Alcotest.test_case "dram is free" `Quick dram_surface_is_free;
         ] );
       ( "bfs",
@@ -192,5 +289,7 @@ let () =
           Alcotest.test_case "disconnected" `Quick bfs_disconnected;
           Alcotest.test_case "surfaces agree" `Quick bfs_agrees_across_surfaces;
           Alcotest.test_case "dense switch" `Quick bfs_dense_switch_runs;
+          Alcotest.test_case "known answer on mmio" `Quick bfs_known_answer_on_mmio;
+          Alcotest.test_case "allocation per edge" `Quick bfs_allocation_per_edge;
         ] );
     ]

@@ -109,6 +109,70 @@ let msync_cleans () =
          Alcotest.(check bool) "written" true
            (Linux_sim.Page_cache.writeback_ios pc > 0)))
 
+(* Two fibers msync disjoint files at once over NVMe, whose writes
+   suspend: each write-back run keeps its snapshot buffer until its write
+   has landed, so every device page ends up with its own page's bytes. *)
+let concurrent_msyncs_keep_their_snapshots () =
+  let msys =
+    Linux_sim.Mmap_sys.create
+      {
+        Linux_sim.Mmap_sys.cache = Linux_sim.Page_cache.default_config ~frames:64;
+        vma_rb_cost_multiplier = 1;
+      }
+  in
+  let dev = Sdevice.Nvme.create ~name:"wb-nvme" () in
+  let access =
+    Sdevice.Access.host_nvme (Linux_sim.Mmap_sys.costs msys)
+      ~entry:Sdevice.Access.In_kernel dev
+  in
+  let dev_page i p = (i * 100) + p in
+  let files =
+    List.map
+      (fun i ->
+        Linux_sim.Mmap_sys.attach_file msys ~name:(Printf.sprintf "f%d" i) ~access
+          ~translate:(fun p -> if p < 8 then Some (dev_page i p) else None)
+          ~size_pages:8)
+      [ 1; 2 ]
+  in
+  let fill i p = Char.chr (Char.code 'A' + (i * 8) + p) in
+  let regions = ref [] in
+  ignore
+    (in_sim (fun () ->
+         Linux_sim.Mmap_sys.enter_thread msys;
+         regions :=
+           List.mapi
+             (fun k file ->
+               let region = Linux_sim.Mmap_sys.mmap msys file ~npages:8 () in
+               for p = 0 to 7 do
+                 Linux_sim.Mmap_sys.write msys region ~off:(p * psz)
+                   ~src:(Bytes.make psz (fill (k + 1) p))
+               done;
+               region)
+             files));
+  let eng = Sim.Engine.create () in
+  List.iteri
+    (fun core region ->
+      ignore
+        (Sim.Engine.spawn eng ~core (fun () ->
+             Linux_sim.Mmap_sys.enter_thread msys;
+             Linux_sim.Mmap_sys.msync msys region)))
+    !regions;
+  Sim.Engine.run eng;
+  checki "two merged write ios" 2
+    (Linux_sim.Page_cache.writeback_ios (Linux_sim.Mmap_sys.page_cache msys));
+  let page = Bytes.create psz in
+  List.iter
+    (fun i ->
+      for p = 0 to 7 do
+        Sdevice.Pagestore.read_page (Sdevice.Block_dev.store dev) ~page:(dev_page i p)
+          ~dst:page;
+        Alcotest.(check bool)
+          (Printf.sprintf "file %d page %d holds its page's bytes" i p)
+          true
+          (Bytes.equal page (Bytes.make psz (fill i p)))
+      done)
+    [ 1; 2 ]
+
 let background_flusher_cleans () =
   let r = make_rig ~frames:128 ~file_pages:256 () in
   let eng = Sim.Engine.create () in
@@ -208,6 +272,8 @@ let () =
           Alcotest.test_case "fault readahead" `Quick readahead_fills_cluster;
           Alcotest.test_case "tree_lock contention" `Quick tree_lock_contends;
           Alcotest.test_case "msync" `Quick msync_cleans;
+          Alcotest.test_case "concurrent msyncs keep their snapshots" `Quick
+            concurrent_msyncs_keep_their_snapshots;
           Alcotest.test_case "background flusher" `Quick background_flusher_cleans;
           Alcotest.test_case "fault counted" `Quick linux_fault_pays_ring3_trap;
         ] );

@@ -740,6 +740,60 @@ let degraded_eviction_skips_dirty_under_every_policy () =
                 (Mcache.Dram_cache.evictions cache > 0))))
     Mcache.Policy.all_kinds
 
+(* Two fibers msync disjoint dirty runs at once over NVMe, whose writes
+   suspend: each run's snapshot buffer must stay its own until its write
+   has landed, or one run's bytes end up on the other's device pages. *)
+let concurrent_msyncs_keep_their_snapshots () =
+  let machine = Hw.Machine.create () in
+  let pt = Hw.Page_table.create () in
+  let cache =
+    Mcache.Dram_cache.create ~costs:c ~machine ~page_table:pt
+      (Mcache.Dram_cache.default_config ~frames:64)
+  in
+  let dev = Sdevice.Nvme.create ~name:"wb-nvme" () in
+  let access = Sdevice.Access.spdk_nvme c dev in
+  let dev_page file p = (file * 100) + p in
+  List.iter
+    (fun file ->
+      Mcache.Dram_cache.register_file cache ~file_id:file ~access
+        ~translate:(fun p -> if p < 8 then Some (dev_page file p) else None))
+    [ 1; 2 ];
+  Mcache.Dram_cache.set_shoot_cores cache [ 0; 1 ];
+  let fill file p = Char.chr (Char.code 'A' + (file * 8) + p) in
+  in_sim (fun () ->
+      List.iter
+        (fun file ->
+          for p = 0 to 7 do
+            let vpn = (file * 1000) + p in
+            Mcache.Dram_cache.fault cache ~core:0
+              ~key:(Mcache.Pagekey.make ~file ~page:p) ~vpn ~write:true ();
+            let pte = Option.get (Hw.Page_table.find pt ~vpn) in
+            Bytes.fill (Mcache.Dram_cache.pfn_data cache pte.Hw.Page_table.pfn) 0 psz
+              (fill file p)
+          done)
+        [ 1; 2 ]);
+  let eng = Sim.Engine.create () in
+  List.iteri
+    (fun core file ->
+      ignore
+        (Sim.Engine.spawn eng ~core (fun () ->
+             Mcache.Dram_cache.msync cache ~core ~file ())))
+    [ 1; 2 ];
+  Sim.Engine.run eng;
+  checki "two merged write ios" 2 (Mcache.Dram_cache.writeback_ios cache);
+  let page = Bytes.create psz in
+  List.iter
+    (fun file ->
+      for p = 0 to 7 do
+        Sdevice.Pagestore.read_page (Sdevice.Block_dev.store dev)
+          ~page:(dev_page file p) ~dst:page;
+        Alcotest.(check bool)
+          (Printf.sprintf "file %d page %d holds its frame's bytes" file p)
+          true
+          (Bytes.equal page (Bytes.make psz (fill file p)))
+      done)
+    [ 1; 2 ]
+
 let unregistered_file_rejected () =
   let r = make_rig () in
   Alcotest.check_raises "unknown file" (Invalid_argument "Dram_cache: unregistered file 9")
@@ -784,6 +838,8 @@ let () =
           Alcotest.test_case "writeback daemon" `Quick writeback_daemon_cleans_in_background;
           Alcotest.test_case "crash loses unsynced" `Quick crash_loses_unsynced_data;
           Alcotest.test_case "msync on clean cache" `Quick msync_clean_cache_is_free;
+          Alcotest.test_case "concurrent msyncs keep their snapshots" `Quick
+            concurrent_msyncs_keep_their_snapshots;
           QCheck_alcotest.to_alcotest crash_keeps_exactly_synced;
           Alcotest.test_case "unregistered file" `Quick unregistered_file_rejected;
         ] );

@@ -206,6 +206,20 @@ let access_rejects_small_buffer () =
         (in_fiber (fun () ->
              Sdevice.Access.read_pages a ~page:0 ~count:2 ~dst:(Bytes.create psz))))
 
+(* ---- Bufpool ---- *)
+
+let bufpool_reuse () =
+  let pool = Sdevice.Bufpool.create ~pages:4 in
+  let a = Sdevice.Bufpool.take pool in
+  let b = Sdevice.Bufpool.take pool in
+  checki "sized in pages" (4 * psz) (Bytes.length a);
+  Alcotest.(check bool) "outstanding buffers are distinct" false (a == b);
+  Sdevice.Bufpool.give pool a;
+  Alcotest.(check bool) "take after give reuses" true (Sdevice.Bufpool.take pool == a);
+  Alcotest.check_raises "pages must be positive"
+    (Invalid_argument "Bufpool.create: pages must be positive") (fun () ->
+      ignore (Sdevice.Bufpool.create ~pages:0))
+
 let () =
   Alcotest.run "sdevice"
     [
@@ -237,4 +251,5 @@ let () =
           Alcotest.test_case "moves data" `Quick access_moves_data;
           Alcotest.test_case "buffer validation" `Quick access_rejects_small_buffer;
         ] );
+      ("bufpool", [ Alcotest.test_case "reuse" `Quick bufpool_reuse ]);
     ]
