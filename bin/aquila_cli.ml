@@ -189,7 +189,7 @@ let trace_cmd =
   let buffer =
     Arg.(
       value
-      & opt int 65536
+      & opt int Experiments.Scenario.trace_buffer_per_core
       & info [ "buffer" ] ~docv:"SLOTS"
           ~doc:"Per-core ring-buffer capacity in events; oldest events are \
                 dropped on overflow (the drop count is recorded in the \

@@ -45,11 +45,11 @@ type resp =
   | Nack of string
 
 type stats = {
-  mutable acked_writes : int;
-  mutable redirected : int;
-  mutable failovers : int;
-  mutable resync_pages : int;
-  mutable crash_ordinals : int list;  (** newest first *)
+  acked_writes : int;
+  redirected : int;
+  failovers : int;
+  resync_pages : int;
+  crash_ordinals : int list;  (** newest first *)
 }
 
 type t = {
@@ -59,42 +59,26 @@ type t = {
   live : bool array;
   router : Router.t;
   rpc : (req, resp) Rpc.t;
-  stats : stats;
   client_core : int;
   mutable next_op : int;
+  mutable crash_ordinals : int list;  (* newest first *)
+  (* instance cells, bound at the first event (see [Rpc.counter]) *)
+  m_acked : Metrics.Registry.cell Lazy.t;
+  m_failovers : Metrics.Registry.cell Lazy.t;
+  m_redirected : Metrics.Registry.cell Lazy.t;
+  m_resync : Metrics.Registry.cell Lazy.t;
+  m_lag : Metrics.Registry.hcell Lazy.t;
 }
 
-(* Per-domain metric cells, lazily bound (lib/fault pattern) so the
-   cluster composes with the --jobs fan-out. *)
-let m_acked_key : Metrics.Registry.cell Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      Metrics.Registry.counter ~help:"cluster writes acked after K durable copies"
-        "cluster_acked_writes")
+let stats t =
+  {
+    acked_writes = Rpc.count t.m_acked;
+    redirected = Rpc.count t.m_redirected;
+    failovers = Rpc.count t.m_failovers;
+    resync_pages = Rpc.count t.m_resync;
+    crash_ordinals = t.crash_ordinals;
+  }
 
-let m_failovers_key : Metrics.Registry.cell Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      Metrics.Registry.counter ~help:"cluster node crashes that triggered failover"
-        "cluster_failovers")
-
-let m_redirected_key : Metrics.Registry.cell Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      Metrics.Registry.counter
-        ~help:"client ops re-routed to a different primary after a timeout"
-        "cluster_redirected_ops")
-
-let m_resync_key : Metrics.Registry.cell Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      Metrics.Registry.counter
-        ~help:"WAL pages pushed to repair replicas after a membership change"
-        "cluster_resync_pages")
-
-let m_lag_key : Metrics.Registry.hcell Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      Metrics.Registry.histogram
-        ~help:"cycles from primary-durable to full-chain ack"
-        "cluster_replication_lag")
-
-let stats t = t.stats
 let rpc_timeouts t = Rpc.timeouts t.rpc
 let rpc_retries t = Rpc.retries t.rpc
 let live_view t = Array.copy t.live
@@ -118,8 +102,7 @@ let forward_chain t node ~key ~value ~op ~chain ~observe_lag =
       with
       | Ack ->
           if observe_lag then
-            Metrics.Registry.observe
-              (Domain.DLS.get m_lag_key)
+            Metrics.Registry.observe (Lazy.force t.m_lag)
               (Int64.to_int (Int64.sub (Sim.Engine.now t.eng) t0));
           Ack
       | Nack _ as n -> n
@@ -218,16 +201,29 @@ let create ?(cfg = default_config) ?devices ~eng () =
       live;
       router;
       rpc;
-      stats =
-        {
-          acked_writes = 0;
-          redirected = 0;
-          failovers = 0;
-          resync_pages = 0;
-          crash_ordinals = [];
-        };
       client_core = cfg.nodes;
       next_op = 0;
+      crash_ordinals = [];
+      m_acked =
+        Rpc.counter
+          ~help:"cluster writes acked after K durable copies"
+          "cluster_acked_writes";
+      m_failovers =
+        Rpc.counter
+          ~help:"cluster node crashes that triggered failover"
+          "cluster_failovers";
+      m_redirected =
+        Rpc.counter
+          ~help:"client ops re-routed to a different primary after a timeout"
+          "cluster_redirected_ops";
+      m_resync =
+        Rpc.counter
+          ~help:"WAL pages pushed to repair replicas after a membership change"
+          "cluster_resync_pages";
+      m_lag =
+        lazy
+          (Metrics.Registry.histogram "cluster_replication_lag"
+             ~help:"cycles from primary-durable to full-chain ack");
     }
   in
   Array.iteri (fun i n -> Rpc.set_handler rpc i (handle t n)) nodes;
@@ -308,8 +304,7 @@ let resync t =
             match Rpc.call t.rpc ~src:(-1) ~dst:m (Push { key; r = target }) with
             | Some (Adopted true) ->
                 incr pushed;
-                t.stats.resync_pages <- t.stats.resync_pages + 1;
-                Metrics.Registry.incr (Domain.DLS.get m_resync_key)
+                Metrics.Registry.incr (Lazy.force t.m_resync)
             | _ -> ())
         placement)
     (union_keys t);
@@ -336,9 +331,8 @@ let crash_node t i ~ordinal =
   if t.live.(i) && Node.is_up t.nodes.(i) then begin
     t.live.(i) <- false;
     Node.crash t.nodes.(i);
-    t.stats.failovers <- t.stats.failovers + 1;
-    t.stats.crash_ordinals <- ordinal :: t.stats.crash_ordinals;
-    Metrics.Registry.incr (Domain.DLS.get m_failovers_key);
+    t.crash_ordinals <- ordinal :: t.crash_ordinals;
+    Metrics.Registry.incr (Lazy.force t.m_failovers);
     ignore
       (Sim.Engine.spawn t.eng ~name:"failover-resync" ~core:t.client_core
          (fun () -> ignore (resync t)));
@@ -395,8 +389,7 @@ let client_op t ~key ~(mk : chain:int list -> req) ~(accept : resp -> 'a option)
     | primary :: chain -> (
         (match last with
         | Some p when p <> primary ->
-            t.stats.redirected <- t.stats.redirected + 1;
-            Metrics.Registry.incr (Domain.DLS.get m_redirected_key)
+            Metrics.Registry.incr (Lazy.force t.m_redirected)
         | _ -> ());
         match Rpc.call t.rpc ~src:(-1) ~dst:primary (mk ~chain) with
         | Some r when accept r <> None -> Option.get (accept r)
@@ -414,8 +407,7 @@ let put t key value =
   client_op t ~key
     ~mk:(fun ~chain -> Put { key; value; op; chain })
     ~accept:(function Ack -> Some () | _ -> None);
-  t.stats.acked_writes <- t.stats.acked_writes + 1;
-  Metrics.Registry.incr (Domain.DLS.get m_acked_key)
+  Metrics.Registry.incr (Lazy.force t.m_acked)
 
 let get t key =
   client_op t ~key

@@ -29,11 +29,11 @@ val default_config : config
 (** 5 nodes, 3 replicas, 16 vnodes, correct (non-broken) replication. *)
 
 type stats = {
-  mutable acked_writes : int;
-  mutable redirected : int;  (** client ops re-routed after a timeout *)
-  mutable failovers : int;
-  mutable resync_pages : int;  (** WAL pages pushed by resync *)
-  mutable crash_ordinals : int list;  (** newest first *)
+  acked_writes : int;
+  redirected : int;  (** client ops re-routed after a timeout *)
+  failovers : int;
+  resync_pages : int;  (** WAL pages pushed by resync *)
+  crash_ordinals : int list;  (** newest first *)
 }
 
 type t
@@ -85,6 +85,9 @@ val degraded : t -> bool
     cluster-level load-shedding signal for the open-loop harness. *)
 
 val stats : t -> stats
+(** A view built on each call from the instance's registry cells and
+    the crash ordinals. *)
+
 val rpc_timeouts : t -> int
 val rpc_retries : t -> int
 val live_view : t -> bool array

@@ -45,27 +45,21 @@ let () =
              node attempts)
     | _ -> None)
 
-(* Metric cells are bound lazily per domain (the --jobs fan-out runs
-   each job in its own domain), mirroring lib/fault. *)
-let m_timeouts_key : Metrics.Registry.cell Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      Metrics.Registry.counter ~help:"cluster RPC attempts that timed out"
-        "cluster_rpc_timeouts")
-
-let m_retries_key : Metrics.Registry.cell Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      Metrics.Registry.counter ~help:"cluster RPC retries after a timeout"
-        "cluster_rpc_retries")
-
 type ('req, 'resp) t = {
   eng : Sim.Engine.t;
   cfg : config;
   nodes : int;
   alive : int -> bool;
   handlers : ('req -> 'resp) option array;
-  mutable n_timeouts : int;
-  mutable n_retries : int;
+  m_timeouts : Metrics.Registry.cell Lazy.t;
+  m_retries : Metrics.Registry.cell Lazy.t;
 }
+
+(* Instance cells bound at the first event, on the domain that runs the
+   cluster's fan-out job: a family is exported only once some instance
+   has counted in it. *)
+let counter ~help name = lazy (Metrics.Registry.counter ~help name)
+let count c = if Lazy.is_val c then Metrics.Registry.get (Lazy.force c) else 0
 
 let create ~eng ~cfg ~nodes ~alive =
   {
@@ -74,13 +68,15 @@ let create ~eng ~cfg ~nodes ~alive =
     nodes;
     alive;
     handlers = Array.make nodes None;
-    n_timeouts = 0;
-    n_retries = 0;
+    m_timeouts =
+      counter ~help:"cluster RPC attempts that timed out" "cluster_rpc_timeouts";
+    m_retries =
+      counter ~help:"cluster RPC retries after a timeout" "cluster_rpc_retries";
   }
 
 let set_handler t node h = t.handlers.(node) <- Some h
-let timeouts t = t.n_timeouts
-let retries t = t.n_retries
+let timeouts t = count t.m_timeouts
+let retries t = count t.m_retries
 
 (* src = -1 is the external client (always reachable). *)
 let alive t i = i < 0 || t.alive i
@@ -102,10 +98,7 @@ let call t ~src ~dst req =
       Sim.Engine.post t.eng
         ~at:(Int64.of_int (now + t.cfg.timeout))
         (fun () ->
-          if not !fired then begin
-            t.n_timeouts <- t.n_timeouts + 1;
-            Metrics.Registry.incr (Domain.DLS.get m_timeouts_key)
-          end;
+          if not !fired then Metrics.Registry.incr (Lazy.force t.m_timeouts);
           finish None);
       if alive t src then
         Sim.Engine.post t.eng
@@ -137,9 +130,7 @@ let call t ~src ~dst req =
                              end))));
   !result
 
-let note_retry t =
-  t.n_retries <- t.n_retries + 1;
-  Metrics.Registry.incr (Domain.DLS.get m_retries_key)
+let note_retry t = Metrics.Registry.incr (Lazy.force t.m_retries)
 
 let call_retry t ~src ~dst req =
   let rec go attempt =

@@ -55,5 +55,14 @@ val note_retry : ('req, 'resp) t -> unit
 (** Count a caller-level retry (the cluster client re-routing a request
     after a timeout) in the same counters as {!call_retry}'s own. *)
 
+val counter : help:string -> string -> Metrics.Registry.cell Lazy.t
+(** [counter ~help name] is an instance cell of counter family [name],
+    bound when first forced, so the family is exported only once some
+    instance has counted in it. *)
+
+val count : Metrics.Registry.cell Lazy.t -> int
+(** The cell's value; 0 while it is unbound. *)
+
 val timeouts : ('req, 'resp) t -> int
 val retries : ('req, 'resp) t -> int
+(** The instance's registry cells. *)

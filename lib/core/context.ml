@@ -45,8 +45,6 @@ type t = {
   mutable next_vpn : int;
   mutable next_fid : int;
   mutable thread_cores : int list;
-  mutable s_accesses : int;
-  mutable s_faults : int;
   m_accesses : Metrics.Registry.cell;
   m_faults : Metrics.Registry.cell;
 }
@@ -67,8 +65,6 @@ let create ?(costs = Hw.Costs.default) ?machine cfg =
     next_vpn = 256; (* leave a null guard region *)
     next_fid = 1;
     thread_cores = [];
-    s_accesses = 0;
-    s_faults = 0;
     m_accesses =
       Metrics.Registry.counter ~help:"page-granular memory accesses"
         "aquila_mem_accesses";
@@ -232,7 +228,6 @@ let rec touch_page ?(attempt = 0) t region ~page ~write buf =
   if attempt > 100 then failwith "Aquila: access cannot make progress (thrash)";
   let vpn = region.vstart + page in
   let core = current_core () in
-  t.s_accesses <- t.s_accesses + 1;
   Metrics.Registry.incr t.m_accesses;
   let irq = Hw.Machine.drain_irq t.cmachine ~core in
   Sim.Costbuf.add buf "irq" irq;
@@ -243,7 +238,6 @@ let rec touch_page ?(attempt = 0) t region ~page ~write buf =
       if write then pte.Hw.Page_table.dirty <- true;
       pte.Hw.Page_table.pfn
   | _ ->
-      t.s_faults <- t.s_faults + 1;
       Metrics.Registry.incr t.m_faults;
       (* Page-fault begin/end span; value encodes the cause (1 = write). *)
       let ft0 = Sim.Probe.span_start () in
@@ -353,6 +347,6 @@ let resize_cache t ~frames =
          ~len:bytes)
   end
 
-let accesses t = t.s_accesses
-let faults t = t.s_faults
+let accesses t = Metrics.Registry.get t.m_accesses
+let faults t = Metrics.Registry.get t.m_faults
 let ept_faults t = Hw.Ept.faults t.ept

@@ -112,7 +112,9 @@ val resize_cache : t -> frames:int -> unit
 (** [resize_cache t ~frames] grows or shrinks the DRAM cache to [frames]
     through the hypervisor (vmcall + EPT updates, Section 3.5). *)
 
-(** {1 Statistics} *)
+(** {1 Statistics}
+
+    {!accesses} and {!faults} read the instance's registry cells. *)
 
 val accesses : t -> int
 (** Page-granular data-plane accesses (hits + faults). *)

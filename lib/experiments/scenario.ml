@@ -158,10 +158,12 @@ let scale_note =
   "sizes scaled ~2^10 vs the paper (GB->MB); ratios, batch amortization and \
    cost constants preserved (DESIGN.md #2)"
 
+let trace_buffer_per_core = 65536
+
 (* Run [f] under an ambient tracer and export the requested sinks.  With
    no sink requested, [f] runs untraced (the fast path).  Used by the CLI
    to thread --trace through any experiment without touching its code. *)
-let with_trace ?(buffer_per_core = 4096) ?out ?csv ?summary f =
+let with_trace ?(buffer_per_core = trace_buffer_per_core) ?out ?csv ?summary f =
   match (out, csv, summary) with
   | None, None, None -> f ()
   | _ ->

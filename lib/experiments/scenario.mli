@@ -74,6 +74,10 @@ val kv_of_kreon : Kvstore.Kreon_sim.t -> Ycsb.Runner.kv
 val scale_note : string
 (** One-line reminder of the 2^10 size scaling, printed by benches. *)
 
+val trace_buffer_per_core : int
+(** Default per-core trace ring capacity in events (65536), shared by
+    [run --trace] and [trace] so both keep the same events. *)
+
 val with_trace :
   ?buffer_per_core:int ->
   ?out:string ->
@@ -84,7 +88,8 @@ val with_trace :
 (** [with_trace f] runs [f] under an ambient {!Trace} tracer and exports
     the requested sinks afterwards: [out] writes Chrome Trace Event JSON
     (load in Perfetto / chrome://tracing), [csv] a flat CSV, [summary]
-    a top-N span table on stdout.  With no sink requested [f] runs
+    a top-N span table on stdout.  [buffer_per_core] defaults to
+    {!trace_buffer_per_core}.  With no sink requested [f] runs
     untraced.  The tracer is stopped even if [f] raises. *)
 
 val with_metrics :

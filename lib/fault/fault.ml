@@ -123,6 +123,8 @@ module Plan = struct
     sp : spec;
     rng : Sim.Rng.t;
     bad : (string * int, unit) Hashtbl.t; (* (device, page) failed permanently *)
+    (* fields, not registry cells: a plan is built on one domain and
+       drawn on another, and a cell lives in its binding domain *)
     mutable n_probes : int;
     mutable n_read_errors : int;
     mutable n_write_errors : int;

@@ -4,7 +4,8 @@ type send_mode = Posted | Vmexit_send | Kernel_ipi
 let sent_key = Domain.DLS.new_key (fun () -> ref 0)
 let sent () = Domain.DLS.get sent_key
 
-(* Metric cells are domain-local too; shootdowns are far off the hot
+(* Metric cells are domain-local too, bound through DLS since there is
+   no instance record to bind them to; shootdowns are far off the hot
    path, so the DLS lookup per batch is fine. *)
 let m_shoot_key : Metrics.Registry.cell Domain.DLS.key =
   Domain.DLS.new_key (fun () ->

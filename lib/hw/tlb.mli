@@ -28,4 +28,6 @@ val flush : t -> Costs.t -> int64
 
 val hits : t -> int
 val misses : t -> int
+(** The instance's registry cells ([hw_tlb_hits] / [hw_tlb_misses]). *)
+
 val invalidations : t -> int

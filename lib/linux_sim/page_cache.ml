@@ -51,13 +51,10 @@ type t = {
   flusher_waitq : Sim.Sync.Waitq.t;
   mutable flusher : (int * int) option; (* (hi, lo) watermarks *)
   mutable shoot_cores : int list;
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_evictions : int;
   mutable s_read_ios : int;
-  mutable s_wb_ios : int;
   mutable s_wb_errors : int;
-  mutable s_sigbus : int;
+  (* always-on aqmetrics instance cells; the statistics accessors read
+     them *)
   m_hits : Metrics.Registry.cell;
   m_misses : Metrics.Registry.cell;
   m_evictions : Metrics.Registry.cell;
@@ -86,13 +83,8 @@ let create ~costs ~machine ~page_table cfg =
       flusher_waitq = Sim.Sync.Waitq.create ();
       flusher = None;
       shoot_cores = [];
-      s_hits = 0;
-      s_misses = 0;
-      s_evictions = 0;
       s_read_ios = 0;
-      s_wb_ios = 0;
       s_wb_errors = 0;
-      s_sigbus = 0;
       m_hits =
         Metrics.Registry.counter ~help:"Linux page-cache hits"
           "linux_cache_hits";
@@ -188,7 +180,6 @@ let writeback_pairs t pairs =
         Sdevice.Bufpool.give t.wb_bufs scratch;
         (match r with
         | Ok () ->
-            t.s_wb_ios <- t.s_wb_ios + 1;
             Metrics.Registry.incr t.m_wb_ios;
             []
         | Error _ ->
@@ -330,7 +321,6 @@ let reclaim t ~core =
       Queue.add fr.fno t.free)
     torn;
   Sim.Sync.Mutex.unlock t.zone_lock;
-  t.s_evictions <- t.s_evictions + List.length torn;
   Metrics.Registry.add t.m_evictions (List.length torn);
   if Trace.on () then
     Sim.Probe.span_since ~cat:"linux"
@@ -457,7 +447,6 @@ let set_dirty t key (fr : frame) =
 let rec ensure_resident t ~core ~key =
   match lookup t key with
   | Some fr ->
-      t.s_hits <- t.s_hits + 1;
       Metrics.Registry.incr t.m_hits;
       if Trace.on () then Sim.Probe.instant ~cat:"linux" "hit";
       Dstruct.Clock_lru.touch t.lru fr.fno;
@@ -478,7 +467,6 @@ let rec ensure_resident t ~core ~key =
             with Fault.Io_error _ ->
               Hashtbl.remove t.inflight key;
               Sim.Sync.Ivar.fill iv ();
-              t.s_sigbus <- t.s_sigbus + 1;
               Metrics.Registry.incr t.m_sigbus;
               (match Fault.active () with
               | Some p -> Fault.note_sigbus p
@@ -491,7 +479,6 @@ let rec ensure_resident t ~core ~key =
           Sim.Probe.span_since ~cat:"linux" ~t0:f0 "fill";
           Hashtbl.remove t.inflight key;
           Sim.Sync.Ivar.fill iv ();
-          t.s_misses <- t.s_misses + 1;
           Metrics.Registry.incr t.m_misses;
           fr)
 
@@ -665,13 +652,13 @@ let stop_flusher t =
   t.flusher <- None;
   ignore (Sim.Sync.Waitq.signal t.flusher_waitq)
 
-let fault_hits t = t.s_hits
-let misses t = t.s_misses
-let evictions t = t.s_evictions
+let fault_hits t = Metrics.Registry.get t.m_hits
+let misses t = Metrics.Registry.get t.m_misses
+let evictions t = Metrics.Registry.get t.m_evictions
 let read_ios t = t.s_read_ios
-let writeback_ios t = t.s_wb_ios
+let writeback_ios t = Metrics.Registry.get t.m_wb_ios
 let writeback_errors t = t.s_wb_errors
-let sigbus_count t = t.s_sigbus
+let sigbus_count t = Metrics.Registry.get t.m_sigbus
 
 let tree_lock_contended t =
   Hashtbl.fold

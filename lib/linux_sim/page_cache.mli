@@ -69,7 +69,10 @@ val spawn_flusher : t -> eng:Sim.Engine.t -> ?hi:int -> ?lo:int -> ?core:int -> 
 
 val stop_flusher : t -> unit
 
-(** {1 Statistics} *)
+(** {1 Statistics}
+
+    {!fault_hits}, {!misses}, {!evictions}, {!writeback_ios} and
+    {!sigbus_count} read the instance's registry cells. *)
 
 val fault_hits : t -> int
 val misses : t -> int

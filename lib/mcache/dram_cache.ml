@@ -64,19 +64,13 @@ type t = {
   mutable seeded : int;
   mutable retired_frames : int list;
   mutable retired_count : int; (* List.length retired_frames, maintained *)
-  mutable s_fault_hits : int;
-  mutable s_misses : int;
-  mutable s_evictions : int;
-  mutable s_wb_ios : int;
-  mutable s_wb_pages : int;
   mutable s_read_ios : int;
   mutable s_read_pages : int;
   mutable s_inflight_waits : int;
-  mutable s_wb_errors : int;
-  mutable s_sigbus : int;
   mutable wb_fail_streak : int; (* consecutive write-back rounds with failures *)
   mutable read_only : bool; (* degraded: error storm made write-back unsafe *)
-  (* always-on aqmetrics cells, one series per replacement policy *)
+  (* always-on aqmetrics instance cells, one series per replacement
+     policy; the statistics accessors read them *)
   m_hits : Metrics.Registry.cell;
   m_misses : Metrics.Registry.cell;
   m_evictions : Metrics.Registry.cell;
@@ -131,16 +125,9 @@ let create ~costs ~machine ~page_table cfg =
       seeded = 0;
       retired_frames = [];
       retired_count = 0;
-      s_fault_hits = 0;
-      s_misses = 0;
-      s_evictions = 0;
-      s_wb_ios = 0;
-      s_wb_pages = 0;
       s_read_ios = 0;
       s_read_pages = 0;
       s_inflight_waits = 0;
-      s_wb_errors = 0;
-      s_sigbus = 0;
       wb_fail_streak = 0;
       read_only = false;
       m_hits =
@@ -246,8 +233,6 @@ let writeback_frames t frames buf =
         Sdevice.Bufpool.give t.wb_bufs scratch;
         match r with
         | Ok () ->
-            t.s_wb_ios <- t.s_wb_ios + 1;
-            t.s_wb_pages <- t.s_wb_pages + count;
             Metrics.Registry.incr t.m_wb_ios;
             Metrics.Registry.add t.m_wb_pages count;
             []
@@ -294,7 +279,6 @@ let degrade_streak_limit = 8
 
 let note_wb_outcome t ~failed =
   if failed > 0 then begin
-    t.s_wb_errors <- t.s_wb_errors + failed;
     Metrics.Registry.add t.m_wb_errors failed;
     t.wb_fail_streak <- t.wb_fail_streak + 1;
     if (not t.read_only) && t.wb_fail_streak >= degrade_streak_limit then begin
@@ -413,7 +397,6 @@ let evict_batch_now t ~core buf =
             Sim.Costbuf.add buf "alloc" (Freelist.free t.fl ~core fr.fno)
           end)
         frames;
-      t.s_evictions <- t.s_evictions + !recycled;
       Metrics.Registry.add t.m_evictions !recycled;
       if Trace.on () then begin
         Sim.Probe.span_since ~cat:"mcache"
@@ -540,7 +523,6 @@ let fault t ?readahead ~core ~key ~vpn ~write () =
   let rec get_frame () =
     match Dstruct.Lockfree_hash.find t.index key with
     | Some frame ->
-        t.s_fault_hits <- t.s_fault_hits + 1;
         Metrics.Registry.incr t.m_hits;
         if Trace.on () then Sim.Probe.instant ~cat:"mcache" "hit";
         frame
@@ -560,7 +542,6 @@ let fault t ?readahead ~core ~key ~vpn ~write () =
             | () ->
                 Hashtbl.remove t.inflight key;
                 Sim.Sync.Ivar.fill iv ();
-                t.s_misses <- t.s_misses + 1;
                 Metrics.Registry.incr t.m_misses;
                 frame
             | exception Fault.Io_error _ ->
@@ -571,7 +552,6 @@ let fault t ?readahead ~core ~key ~vpn ~write () =
                 frame.key <- -1;
                 Sim.Costbuf.add buf "alloc" (Freelist.free t.fl ~core frame.fno);
                 Sim.Sync.Ivar.fill iv ();
-                t.s_sigbus <- t.s_sigbus + 1;
                 Metrics.Registry.incr t.m_sigbus;
                 (match Fault.active () with
                 | Some p -> Fault.note_sigbus p
@@ -836,16 +816,16 @@ let shrink t ~frames =
   done;
   !retired
 
-let fault_hits t = t.s_fault_hits
-let misses t = t.s_misses
-let evictions t = t.s_evictions
-let writeback_ios t = t.s_wb_ios
-let writeback_pages t = t.s_wb_pages
+let fault_hits t = Metrics.Registry.get t.m_hits
+let misses t = Metrics.Registry.get t.m_misses
+let evictions t = Metrics.Registry.get t.m_evictions
+let writeback_ios t = Metrics.Registry.get t.m_wb_ios
+let writeback_pages t = Metrics.Registry.get t.m_wb_pages
 let read_ios t = t.s_read_ios
 let read_pages t = t.s_read_pages
 let inflight_waits t = t.s_inflight_waits
 let dirty_pages t = Dirty_set.total t.dirty
-let wb_errors t = t.s_wb_errors
-let sigbus_count t = t.s_sigbus
+let wb_errors t = Metrics.Registry.get t.m_wb_errors
+let sigbus_count t = Metrics.Registry.get t.m_sigbus
 let degraded t = t.read_only
 let policy_name t = Policy.name t.pol

@@ -142,7 +142,11 @@ val shrink : t -> frames:int -> int
     Must run inside a fiber (eviction may write back).  Returns how many
     were retired. *)
 
-(** {1 Statistics} *)
+(** {1 Statistics}
+
+    {!fault_hits}, {!misses}, {!evictions}, {!writeback_ios},
+    {!writeback_pages}, {!wb_errors} and {!sigbus_count} read the
+    instance's registry cells. *)
 
 val fault_hits : t -> int
 (** Faults satisfied by a page already in the cache. *)

@@ -1,10 +1,10 @@
 (* aqmetrics registry: process-wide named metric families, per-domain
    flat int arrays for the hot path.
 
-   Registration (finding a family, binding a series of labels to a slot)
-   is a cold path under one global mutex; call sites do it once when a
-   component is created and keep the returned cell.  An increment is then
-   one unboxed int store into the calling domain's flat array — no
+   Registration (finding a family, binding a fresh instance cell of a
+   series) is a cold path under one global mutex; call sites do it once
+   when a component is created and keep the returned cell.  An increment
+   is then one unboxed int store into the binding domain's flat array — no
    allocation, no hashing, no atomics — so the counters can stay on in
    production runs and benchmarks alike.
 
@@ -27,7 +27,8 @@ type family = {
   f_help : string;
   f_kind : kind;
   f_label_names : string list; (* sorted *)
-  mutable f_series : (string list * int) list; (* label values -> base slot *)
+  mutable f_series : (string list * int list) list;
+      (* label values -> base slot of every instance cell bound to them *)
 }
 
 type store = { mutable a : int array }
@@ -83,14 +84,15 @@ let slots_per_series = function
   | Counter | Gauge -> 1
   | Histogram -> 2 + hbuckets
 
-let series_slot f label_values =
-  match List.assoc_opt label_values f.f_series with
-  | Some slot -> slot
-  | None ->
-      let slot = !next_slot in
-      next_slot := slot + slots_per_series f.f_kind;
-      f.f_series <- (label_values, slot) :: f.f_series;
-      slot
+(* Every binding gets a fresh instance cell, so a component's own count
+   is its cell; the series is the sum of its instance cells. *)
+let instance_slot f label_values =
+  let slot = !next_slot in
+  next_slot := slot + slots_per_series f.f_kind;
+  let others = Option.value ~default:[] (List.assoc_opt label_values f.f_series) in
+  f.f_series <-
+    (label_values, slot :: others) :: List.remove_assoc label_values f.f_series;
+  slot
 
 let check_name name =
   if name = "" then invalid_arg "Metrics: empty family name";
@@ -112,7 +114,7 @@ let register ~kind ?(help = "") ?(labels = []) name =
   let slot =
     match
       let f = family_of ~kind ~help ~label_names name in
-      series_slot f label_values
+      instance_slot f label_values
     with
     | slot ->
         Mutex.unlock mu;
@@ -184,11 +186,16 @@ type sample = {
   s_buckets : (int * int) list; (* histogram (bucket-exponent, count), nonzero *)
 }
 
-let merged_slot all slot =
+(* Sum of offset [off] over every instance cell and every domain. *)
+let merged_slot all slots off =
   List.fold_left
-    (fun acc (s : store) ->
-      if slot < Array.length s.a then acc + s.a.(slot) else acc)
-    0 all
+    (fun acc slot ->
+      let slot = slot + off in
+      List.fold_left
+        (fun acc (s : store) ->
+          if slot < Array.length s.a then acc + s.a.(slot) else acc)
+        acc all)
+    0 slots
 
 let snapshot () =
   Mutex.lock mu;
@@ -198,7 +205,7 @@ let snapshot () =
     List.concat_map
       (fun f ->
         List.map
-          (fun (label_values, slot) ->
+          (fun (label_values, slots) ->
             let labels = List.combine f.f_label_names label_values in
             match f.f_kind with
             | Counter | Gauge ->
@@ -207,16 +214,16 @@ let snapshot () =
                   s_help = f.f_help;
                   s_kind = f.f_kind;
                   s_labels = labels;
-                  s_value = merged_slot all slot;
+                  s_value = merged_slot all slots 0;
                   s_count = 0;
                   s_buckets = [];
                 }
             | Histogram ->
-                let count = merged_slot all slot in
-                let sum = merged_slot all (slot + 1) in
+                let count = merged_slot all slots 0 in
+                let sum = merged_slot all slots 1 in
                 let buckets = ref [] in
                 for k = hbuckets - 1 downto 0 do
-                  let n = merged_slot all (slot + 2 + k) in
+                  let n = merged_slot all slots (2 + k) in
                   if n > 0 then buckets := (k, n) :: !buckets
                 done;
                 {

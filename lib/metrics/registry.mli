@@ -1,17 +1,19 @@
 (** aqmetrics registry: always-on named counters/gauges/histograms.
 
     Families are identified by name and a fixed set of label names; each
-    distinct label-value combination is a {e series} bound to a slot in a
-    per-domain flat [int array].  Binding a series (the [counter] /
-    [gauge] / [histogram] calls) is a cold path under a global mutex —
-    do it once, at component-creation time, from the domain that will
-    use the cell.  The returned cell is then a raw (array, index) pair:
+    distinct label-value combination is a {e series}.  Each binding (the
+    [counter] / [gauge] / [histogram] calls) is its own {e instance cell}
+    of the series: a fresh slot, never freed, in the binding domain's
+    flat [int array], which a component reads back with {!get}.  Binding
+    is a cold path under a global mutex — do it once, at
+    component-creation time, from the domain that will use the cell.
     {!incr} / {!add} / {!set} / {!observe} are single unboxed int stores
     with no allocation, safe to leave enabled on every hot path.
 
-    {!snapshot} merges every domain's array by summation and sorts by
-    (name, labels), so output is byte-identical regardless of how work
-    was spread across domains ([--jobs N] determinism). *)
+    {!snapshot} sums each series over its instance cells and every
+    domain's array and sorts by (name, labels), so output is
+    byte-identical regardless of how work was spread across domains
+    ([--jobs N] determinism). *)
 
 type kind = Counter | Gauge | Histogram
 
@@ -23,23 +25,24 @@ type kind = Counter | Gauge | Histogram
 val hbuckets : int
 
 type cell
-(** A bound counter or gauge series, local to the binding domain. *)
+(** An instance cell of a counter or gauge series. *)
 
 type hcell
-(** A bound histogram series, local to the binding domain. *)
+(** An instance cell of a histogram series. *)
 
 val counter : ?help:string -> ?labels:(string * string) list -> string -> cell
-(** [counter ?help ?labels name] registers (or re-binds) the series of
-    counter family [name] with the given label set for the calling
-    domain.  Label order does not matter; names are canonicalized.
+(** [counter ?help ?labels name] registers the series of counter family
+    [name] with the given label set (if new) and binds a fresh instance
+    cell of it in the calling domain.  Label order does not matter;
+    names are canonicalized.
     @raise Invalid_argument if [name] clashes with an existing family of
     a different kind or different label names, or contains characters
     outside [[A-Za-z0-9_:]]. *)
 
 val gauge : ?help:string -> ?labels:(string * string) list -> string -> cell
 (** Like {!counter} but registered as a gauge.  Note that snapshots
-    merge gauges across domains by summation too (e.g. queue depths add
-    up); use domain-unique label values if that is not what you want. *)
+    merge gauges across cells by summation too (e.g. queue depths add
+    up); use unique label values if that is not what you want. *)
 
 val histogram :
   ?help:string -> ?labels:(string * string) list -> string -> hcell
@@ -50,7 +53,7 @@ val incr : cell -> unit
 val add : cell -> int -> unit
 val set : cell -> int -> unit
 val get : cell -> int
-(** This domain's local value only (snapshots merge all domains). *)
+(** This instance cell's own value (snapshots sum all instance cells). *)
 
 val observe : hcell -> int -> unit
 (** Three unboxed int stores (count, sum, bucket). Negative values clamp
@@ -69,12 +72,14 @@ type sample = {
 }
 
 val snapshot : unit -> sample list
-(** Merged over every domain that ever touched the registry (stores of
-    joined domains are retained), sorted by (name, labels). *)
+(** Summed over every instance cell in every domain that ever touched
+    the registry (stores of joined domains are retained), sorted by
+    (name, labels). *)
 
 val reset : unit -> unit
-(** Zero all values in all domains.  Families and series registrations
-    (and bound cells) stay valid. *)
+(** Zero all values in all domains, instance cells (and so the
+    component accessors that read them) included.  Families, series and
+    bound cells stay valid. *)
 
 val value : ?labels:(string * string) list -> string -> int
 (** Merged value of family [labels] series; with [labels = []] the sum

@@ -8,15 +8,14 @@ type t = {
   setup : int64;
   per_byte : float;
   cap : int64;
-  mutable nreads : int;
-  mutable nwrites : int;
   mutable rbytes : int64;
   mutable wbytes : int64;
   mutable nread_errors : int;
   mutable nwrite_errors : int;
   mutable ntorn : int;
-  mutable nspikes : int;
-  (* always-on aqmetrics cells, one series per device name *)
+  (* always-on aqmetrics instance cells, one series per device name;
+     reads, writes and spikes are counted only here.  The two error
+     fields stay: both feed the one sdevice_errors family. *)
   m_reads : Metrics.Registry.cell;
   m_writes : Metrics.Registry.cell;
   m_errors : Metrics.Registry.cell;
@@ -34,14 +33,11 @@ let create ~name ~channels ~setup_cycles ~cycles_per_byte ~capacity_bytes () =
     setup = setup_cycles;
     per_byte = cycles_per_byte;
     cap = capacity_bytes;
-    nreads = 0;
-    nwrites = 0;
     rbytes = 0L;
     wbytes = 0L;
     nread_errors = 0;
     nwrite_errors = 0;
     ntorn = 0;
-    nspikes = 0;
     m_reads =
       Metrics.Registry.counter ~help:"read I/Os completed" ~labels
         "sdevice_reads";
@@ -107,7 +103,6 @@ let occupy t ~polling ~len ~spike =
 let spike_of t plan =
   let s = Fault.draw_spike plan in
   if s > 1 then begin
-    t.nspikes <- t.nspikes + 1;
     Metrics.Registry.incr t.m_spikes;
     if Trace.on () then Sim.Probe.instant ~cat:"fault" "latency_spike"
   end;
@@ -119,7 +114,6 @@ let read_result ?(polling = false) t ~addr ~len ~dst ~dst_off =
   | None ->
       occupy t ~polling ~len ~spike:1;
       Pagestore.read_bytes t.dstore ~addr ~len ~dst ~dst_off;
-      t.nreads <- t.nreads + 1;
       Metrics.Registry.incr t.m_reads;
       t.rbytes <- Int64.add t.rbytes (Int64.of_int len);
       Ok ()
@@ -134,7 +128,6 @@ let read_result ?(polling = false) t ~addr ~len ~dst ~dst_off =
           Error e
       | None ->
           Pagestore.read_bytes t.dstore ~addr ~len ~dst ~dst_off;
-          t.nreads <- t.nreads + 1;
           Metrics.Registry.incr t.m_reads;
           t.rbytes <- Int64.add t.rbytes (Int64.of_int len);
           Ok ())
@@ -150,7 +143,6 @@ let write_result ?(polling = false) t ~addr ~src ~src_off ~len =
   | None ->
       occupy t ~polling ~len ~spike:1;
       Pagestore.write_bytes t.dstore ~addr ~src ~src_off ~len;
-      t.nwrites <- t.nwrites + 1;
       Metrics.Registry.incr t.m_writes;
       t.wbytes <- Int64.add t.wbytes (Int64.of_int len);
       Ok ()
@@ -160,7 +152,6 @@ let write_result ?(polling = false) t ~addr ~src ~src_off ~len =
       match Fault.draw_write plan ~dev:t.dname ~page ~count with
       | Fault.W_ok ->
           Pagestore.write_bytes t.dstore ~addr ~src ~src_off ~len;
-          t.nwrites <- t.nwrites + 1;
           Metrics.Registry.incr t.m_writes;
           t.wbytes <- Int64.add t.wbytes (Int64.of_int len);
           Ok ()
@@ -198,12 +189,12 @@ let write ?polling t ~addr ~src ~src_off ~len =
         (Fault.Io_error
            { dev = t.dname; write = true; page = fst (page_span addr len); error = e })
 
-let reads t = t.nreads
-let writes t = t.nwrites
+let reads t = Metrics.Registry.get t.m_reads
+let writes t = Metrics.Registry.get t.m_writes
 let bytes_read t = t.rbytes
 let bytes_written t = t.wbytes
 let read_errors t = t.nread_errors
 let write_errors t = t.nwrite_errors
 let torn_writes t = t.ntorn
-let latency_spikes t = t.nspikes
+let latency_spikes t = Metrics.Registry.get t.m_spikes
 let queued_cycles t = Sim.Sync.Resource.queued_cycles t.channels

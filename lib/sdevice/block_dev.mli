@@ -55,6 +55,8 @@ val write_result :
 
 val reads : t -> int
 val writes : t -> int
+(** Completed I/Os: the instance's registry cells. *)
+
 val bytes_read : t -> int64
 val bytes_written : t -> int64
 
@@ -69,6 +71,7 @@ val torn_writes : t -> int
 (** Writes that persisted only a prefix (a subset of {!write_errors}). *)
 
 val latency_spikes : t -> int
+(** The instance's registry cell. *)
 
 val queued_cycles : t -> int64
 (** Total cycles requests spent queueing behind busy channels. *)

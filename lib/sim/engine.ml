@@ -103,6 +103,8 @@ type t = {
   mutable live : int;
   mutable next_fid : int;
   mutable nevents : int;
+      (* a field, not the m_ev cell: the event hook and crash ordinals
+         read it back, and a Registry.reset must never move it *)
   fastpath : bool;
   mutable pending : (unit, unit) Effect.Deep.continuation option;
       (* fast-path trampoline: a delay whose wake-up provably precedes

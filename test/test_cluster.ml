@@ -140,6 +140,7 @@ let small_cfg ?(nodes = 3) ?(replicas = 2) ?(broken = false) () =
   }
 
 let cluster_roundtrip () =
+  let acked0 = Metrics.Registry.value "cluster_acked_writes" in
   let eng = Sim.Engine.create () in
   let cfg = small_cfg () in
   let cl = Aqcluster.Cluster.create ~cfg ~eng () in
@@ -171,6 +172,8 @@ let cluster_roundtrip () =
   Sim.Engine.run eng;
   let st = Aqcluster.Cluster.stats cl in
   checki "acked writes" 22 st.Aqcluster.Cluster.acked_writes;
+  checki "stats read the registry cell" 22
+    (Metrics.Registry.value "cluster_acked_writes" - acked0);
   checki "no failovers" 0 st.Aqcluster.Cluster.failovers;
   Alcotest.(check (list string))
     "replicas converged" []

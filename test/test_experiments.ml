@@ -183,6 +183,52 @@ let scenario_stacks_are_independent () =
   Alcotest.(check bool) "separate stores" true
     (s1.Experiments.Scenario.a_store != s2.Experiments.Scenario.a_store)
 
+(* Two live stacks in one domain bind instance cells of the same series:
+   each accessor counts only its own stack's traffic, and the registry
+   series is their sum. *)
+let scenario_accessors_are_per_instance () =
+  let module R = Metrics.Registry in
+  let module D = Mcache.Dram_cache in
+  let s1 = Experiments.Scenario.make_aquila ~frames:64 ~dev:Experiments.Scenario.Pmem () in
+  let s2 = Experiments.Scenario.make_aquila ~frames:64 ~dev:Experiments.Scenario.Pmem () in
+  let cache s = Aquila.Context.cache s.Experiments.Scenario.a_ctx in
+  let faults s = Aquila.Context.faults s.Experiments.Scenario.a_ctx in
+  let tlb_misses s =
+    Array.map
+      (fun c -> Hw.Tlb.misses c.Hw.Machine.tlb)
+      (Hw.Machine.cores s.Experiments.Scenario.a_machine)
+  in
+  let sum = Array.fold_left ( + ) 0 in
+  let families = [ "mcache_misses"; "aquila_page_faults"; "hw_tlb_misses" ] in
+  let values () = List.map (fun f -> R.value f) families in
+  let run s ~pages =
+    ignore
+      (Experiments.Microbench.run ~eng:(Sim.Engine.create ())
+         ~sys:(Experiments.Microbench.Aq s) ~file_pages:pages ~shared:true
+         ~threads:1 ~ops_per_thread:pages
+         ~pattern:Experiments.Microbench.Permutation ())
+  in
+  let v0 = values () in
+  (* stack 1 overflows its cache (evictions), stack 2 fits *)
+  run s1 ~pages:256;
+  let v1 = values () in
+  checki "s1 faults: one per page" 256 (faults s1);
+  checki "s2 untouched" 0 (faults s2 + D.misses (cache s2) + sum (tlb_misses s2));
+  run s2 ~pages:32;
+  let v2 = values () in
+  checki "s2 faults: one per page" 32 (faults s2);
+  checki "s1 faults unchanged" 256 (faults s1);
+  Alcotest.(check bool) "s1 evicts" true (D.evictions (cache s1) > 0);
+  checki "s2 does not evict" 0 (D.evictions (cache s2));
+  let own s = [ D.misses (cache s); faults s; sum (tlb_misses s) ] in
+  let delta a b = List.map2 ( - ) b a in
+  Alcotest.(check (list int)) "s1 accessors = registry delta of run 1"
+    (delta v0 v1) (own s1);
+  Alcotest.(check (list int)) "s2 accessors = registry delta of run 2"
+    (delta v1 v2) (own s2);
+  Alcotest.(check (list int)) "registry = sum of both stacks" (delta v0 v2)
+    (List.map2 ( + ) (own s1) (own s2))
+
 let () =
   Alcotest.run "experiments"
     [
@@ -198,7 +244,11 @@ let () =
       ( "figures",
         [ Alcotest.test_case "fig8c ordering" `Quick fig8c_access_method_ordering ] );
       ( "scenario",
-        [ Alcotest.test_case "independence" `Quick scenario_stacks_are_independent ] );
+        [
+          Alcotest.test_case "independence" `Quick scenario_stacks_are_independent;
+          Alcotest.test_case "per-instance accessors" `Quick
+            scenario_accessors_are_per_instance;
+        ] );
       ( "policy ablation",
         [
           Alcotest.test_case "--jobs parity per policy" `Quick

@@ -35,7 +35,7 @@ let label_canonicalization () =
       ~labels:[ ("x", "1"); ("y", "2") ]
       "t_label_canon"
   in
-  (* same series, label order reversed: must bind the same slot *)
+  (* same series, label order reversed: must bind the same series *)
   let b =
     Metrics.Registry.counter
       ~labels:[ ("y", "2"); ("x", "1") ]
@@ -53,6 +53,30 @@ let label_canonicalization () =
   in
   Metrics.Registry.incr c;
   checki "family sums series" 3 (Metrics.Registry.value "t_label_canon")
+
+(* Each binding is its own instance cell: [get] reads one instance,
+   [value] / [snapshot] sum the series over all of them. *)
+let instance_cells () =
+  fresh ();
+  let labels = [ ("k", "v") ] in
+  let a = Metrics.Registry.counter ~labels "t_instances" in
+  let b = Metrics.Registry.counter ~labels "t_instances" in
+  Metrics.Registry.add a 3;
+  Metrics.Registry.add b 4;
+  checki "a counts its own" 3 (Metrics.Registry.get a);
+  checki "b counts its own" 4 (Metrics.Registry.get b);
+  checki "value sums instances" 7 (Metrics.Registry.value "t_instances");
+  let s =
+    List.filter
+      (fun (s : Metrics.Registry.sample) -> s.s_name = "t_instances")
+      (Metrics.Registry.snapshot ())
+  in
+  Alcotest.(check (list int))
+    "one series in the snapshot, summed" [ 7 ]
+    (List.map (fun (s : Metrics.Registry.sample) -> s.s_value) s);
+  Metrics.Registry.reset ();
+  checki "reset zeroes a" 0 (Metrics.Registry.get a);
+  checki "reset zeroes b" 0 (Metrics.Registry.get b)
 
 let registration_clashes () =
   fresh ();
@@ -238,6 +262,7 @@ let () =
           Alcotest.test_case "counter basics" `Quick counter_basics;
           Alcotest.test_case "label canonicalization" `Quick
             label_canonicalization;
+          Alcotest.test_case "instance cells" `Quick instance_cells;
           Alcotest.test_case "registration clashes" `Quick registration_clashes;
           Alcotest.test_case "histogram buckets" `Quick histogram_buckets;
           Alcotest.test_case "multi-domain merge" `Quick multi_domain_merge;
