@@ -1,12 +1,13 @@
 (* Ablation benches for the design choices DESIGN.md §5 calls out.  Each
-   table is one registry entry; [tlb_and_batching] resets the
-   domain-local IPI counters itself, so every entry is self-contained. *)
+   table is one registry entry; [micro] reports the shootdown batches its
+   own run sent, so every entry is self-contained. *)
 
 let dataset_pages = 25600
 let frames = 2048
 let threads = 16
 
 let micro ~tweak ~title_row =
+  let sent0 = Hw.Ipi.shootdowns_sent () in
   let eng = Sim.Engine.create () in
   let sys = Microbench.Aq (Scenario.make_aquila ~tweak ~frames ~dev:Scenario.Pmem ()) in
   let r =
@@ -17,25 +18,21 @@ let micro ~tweak ~title_row =
     title_row;
     Stats.Table_fmt.ops_per_sec r.Microbench.throughput_ops_s;
     string_of_int r.Microbench.evictions;
-    Printf.sprintf "%d" (Hw.Ipi.shootdowns_sent ());
+    Printf.sprintf "%d" (Hw.Ipi.shootdowns_sent () - sent0);
   ]
 
 let tlb_and_batching () =
-  Hw.Ipi.reset_counters ();
   let base = micro ~tweak:Fun.id ~title_row:"default (batched, vmexit-send IPI)" in
-  Hw.Ipi.reset_counters ();
   let posted =
     micro
       ~tweak:(fun c -> { c with Mcache.Dram_cache.ipi_mode = Hw.Ipi.Posted })
       ~title_row:"posted IPIs (no send-side vmexit)"
   in
-  Hw.Ipi.reset_counters ();
   let unbatched =
     micro
       ~tweak:(fun c -> { c with Mcache.Dram_cache.evict_batch = 1 })
       ~title_row:"per-page eviction + shootdown (batch=1)"
   in
-  Hw.Ipi.reset_counters ();
   let no_freelist_batch =
     micro
       ~tweak:(fun c ->

@@ -1,12 +1,10 @@
 type send_mode = Posted | Vmexit_send | Kernel_ipi
 
-(* Domain-local so parallel experiment fan-out keeps counters isolated. *)
-let sent_key = Domain.DLS.new_key (fun () -> ref 0)
-let sent () = Domain.DLS.get sent_key
-
-(* Metric cells are domain-local too, bound through DLS since there is
-   no instance record to bind them to; shootdowns are far off the hot
-   path, so the DLS lookup per batch is fine. *)
+(* Metric cells are domain-local (so parallel experiment fan-out keeps
+   counters isolated), bound through DLS since there is no instance
+   record to bind them to; shootdowns are far off the hot path, so the
+   DLS lookup per batch is fine.  The shootdown cell is the only count
+   of batches. *)
 let m_shoot_key : Metrics.Registry.cell Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       Metrics.Registry.counter ~help:"TLB shootdown batches"
@@ -27,7 +25,6 @@ let shootdown m (c : Costs.t) ~mode ~src ~targets ~vpns =
   match targets with
   | [] -> 0L
   | _ :: _ ->
-      incr (sent ());
       Metrics.Registry.incr (Domain.DLS.get m_shoot_key);
       Metrics.Registry.add (Domain.DLS.get m_ipi_key) (List.length targets);
       let npages = List.length vpns in
@@ -60,5 +57,5 @@ let shootdown m (c : Costs.t) ~mode ~src ~targets ~vpns =
          the slowest ack; receivers proceed in parallel. *)
       Int64.add (send_cost c mode) per_receiver
 
-let shootdowns_sent () = !(sent ())
-let reset_counters () = sent () := 0
+let shootdowns_sent () = Metrics.Registry.get (Domain.DLS.get m_shoot_key)
+let reset_counters () = Metrics.Registry.set (Domain.DLS.get m_shoot_key) 0

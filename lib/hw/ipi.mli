@@ -32,6 +32,8 @@ val shootdown :
     empty. *)
 
 val shootdowns_sent : unit -> int
-(** Global count of shootdown batches (for experiment reporting). *)
+(** Shootdown batches sent from this domain: its [hw_tlb_shootdowns]
+    registry cell (for experiment reporting). *)
 
 val reset_counters : unit -> unit
+(** Zero this domain's [hw_tlb_shootdowns] cell. *)

@@ -339,7 +339,8 @@ let rec alloc_frame t ~core attempts =
       if not (reclaim t ~core) then Sim.Engine.idle_wait 2000L;
       alloc_frame t ~core (attempts + 1)
 
-(* Fill [key] (and a readahead window) into the cache.  Assumes the caller
+(* Fill [key] (and a readahead window) into the cache with one device
+   read that lands each page straight in its frame.  Assumes the caller
    placed an in-flight guard for [key].  Returns the frame. *)
 let fill t ~core ~key =
   let c = t.costs in
@@ -372,11 +373,16 @@ let fill t ~core ~key =
   done;
   let window = List.rev !window in
   let count = List.length window in
-  let scratch =
-    if count = 1 then (match window with [ (_, _, fr) ] -> fr.data | _ -> assert false)
-    else Bytes.create (count * psz)
+  (* pages land in order, so a cursor walks the window once *)
+  let rest = ref window in
+  let into _ src =
+    match !rest with
+    | (_, _, (fr : frame)) :: tl ->
+        rest := tl;
+        Bytes.blit src 0 fr.data 0 psz
+    | [] -> assert false
   in
-  (match Sdevice.Access.read_pages m.access ~page:dev ~count ~dst:scratch with
+  (match Sdevice.Access.read_pages m.access ~page:dev ~count ~into with
   | () -> ()
   | exception (Fault.Io_error _ as e) ->
       (* unrecoverable media error: hand the window's frames back and wake
@@ -397,9 +403,8 @@ let fill t ~core ~key =
       raise e);
   t.s_read_ios <- t.s_read_ios + 1;
   (* Insert each page under the tree_lock (add_to_page_cache). *)
-  List.iteri
-    (fun i (k, _, (fr : frame)) ->
-      if count > 1 then Bytes.blit scratch (i * psz) fr.data 0 psz;
+  List.iter
+    (fun (k, _, (fr : frame)) ->
       fr.key <- k;
       fr.dirty <- false;
       fr.vpn <- -1;

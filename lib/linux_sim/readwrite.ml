@@ -39,43 +39,28 @@ let span ~off ~len =
   let last = (off + len - 1) / psz in
   (first, last - first + 1)
 
-let direct_rw d ~off ~len ~is_write k =
-  let first, count = span ~off ~len in
-  (* O_DIRECT requires page-granular device transfers; find the device run
-     and split on discontiguities. *)
-  let scratch = Bytes.create (count * psz) in
-  let rec segments p remaining done_ =
-    if remaining = 0 then ()
-    else
+(* O_DIRECT moves whole pages: split file pages [first, first+count)
+   into device-contiguous runs and call [f file_page dev_page run] on
+   each. *)
+let runs d ~first ~count f =
+  let rec go p remaining =
+    if remaining > 0 then
       match d.dtranslate p with
       | None -> invalid_arg "Readwrite: beyond end of file"
       | Some dev0 ->
-          (* extend while contiguous *)
           let run = ref 1 in
-          let continue_ = ref true in
-          while !continue_ && !run < remaining do
-            match d.dtranslate (p + !run) with
-            | Some dv when dv = dev0 + !run -> incr run
-            | _ -> continue_ := false
+          while
+            !run < remaining
+            && match d.dtranslate (p + !run) with
+               | Some dv -> dv = dev0 + !run
+               | None -> false
+          do
+            incr run
           done;
-          let run = !run in
-          if is_write then
-            Sdevice.Access.write_pages d.daccess ~page:dev0 ~count:run
-              ~src:(Bytes.sub scratch (done_ * psz) (run * psz))
-          else begin
-            let part = Bytes.create (run * psz) in
-            Sdevice.Access.read_pages d.daccess ~page:dev0 ~count:run ~dst:part;
-            Bytes.blit part 0 scratch (done_ * psz) (run * psz)
-          end;
-          segments (p + run) (remaining - run) (done_ + run)
+          f p dev0 !run;
+          go (p + !run) (remaining - !run)
   in
-  if is_write then k scratch first;
-  (* writes fill scratch before issuing *)
-  if is_write then segments first count 0
-  else begin
-    segments first count 0;
-    k scratch first
-  end
+  go first count
 
 let pread fd ~off ~len ~dst =
   check fd ~off ~len;
@@ -83,8 +68,14 @@ let pread fd ~off ~len ~dst =
   fd.nreads <- fd.nreads + 1;
   match fd.mode with
   | Direct d ->
-      direct_rw d ~off ~len ~is_write:false (fun scratch first ->
-          Bytes.blit scratch (off - (first * psz)) dst 0 len)
+      (* each page lands straight in [dst], clipped to [off, off+len) *)
+      let first, count = span ~off ~len in
+      runs d ~first ~count (fun p dev run ->
+          Sdevice.Access.read_pages d.daccess ~page:dev ~count:run
+            ~into:(fun i src ->
+              let base = (p + i) * psz in
+              let lo = max off base and hi = min (off + len) (base + psz) in
+              Bytes.blit src (lo - base) dst (lo - off) (hi - lo)))
   | Buffered b ->
       let core = (Sim.Engine.self ()).Sim.Engine.core in
       let pos = ref 0 in
@@ -106,8 +97,12 @@ let pwrite fd ~off ~src =
   | Direct d ->
       if off mod psz <> 0 || len mod psz <> 0 then
         invalid_arg "Readwrite.pwrite: O_DIRECT requires page alignment";
-      direct_rw d ~off ~len ~is_write:true (fun scratch _first ->
-          Bytes.blit src 0 scratch 0 len)
+      (* one snapshot: the device reads it only after the service time,
+         and the caller may reuse [src] meanwhile *)
+      let snap = Bytes.copy src and first = off / psz in
+      runs d ~first ~count:(len / psz) (fun p dev run ->
+          Sdevice.Access.write_pages d.daccess ~page:dev ~count:run ~src:snap
+            ~src_off:((p - first) * psz))
   | Buffered b ->
       (* buffered write: fill page, modify, mark dirty *)
       let core = (Sim.Engine.self ()).Sim.Engine.core in

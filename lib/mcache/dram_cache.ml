@@ -434,7 +434,8 @@ let rec alloc_frame t ~core buf attempts =
       alloc_frame t ~core buf (attempts + 1)
 
 (* Fetch [key]'s page into [frame], plus configured readahead, issuing the
-   largest device-contiguous read possible.  Suspends for the I/O. *)
+   largest device-contiguous read possible; each page lands straight in
+   its frame.  Suspends for the I/O. *)
 let read_in t ~core ~key ~readahead (frame : frame) buf =
   let c = t.costs in
   let file = Pagekey.file_of key and page = Pagekey.page_of key in
@@ -478,8 +479,21 @@ let read_in t ~core ~key ~readahead (frame : frame) buf =
         (k, fr, iv))
       extra
   in
-  let scratch = if count = 1 then frame.data else Bytes.create (count * psz) in
-  (try Sdevice.Access.read_pages backend.access ~page:dev ~count ~dst:scratch
+  (* pages land in order: [frame] first, then a cursor over [guards] *)
+  let rest = ref guards in
+  let into i src =
+    let fr =
+      if i = 0 then frame
+      else
+        match !rest with
+        | (_, fr, _) :: tl ->
+            rest := tl;
+            fr
+        | [] -> assert false
+    in
+    Bytes.blit src 0 fr.data 0 psz
+  in
+  (try Sdevice.Access.read_pages backend.access ~page:dev ~count ~into
    with e ->
      (* Unrecoverable read: release the readahead frames and their
         guards (waiters re-check the index, miss, and retry — getting
@@ -494,15 +508,13 @@ let read_in t ~core ~key ~readahead (frame : frame) buf =
      raise e);
   t.s_read_ios <- t.s_read_ios + 1;
   t.s_read_pages <- t.s_read_pages + count;
-  if count > 1 then Bytes.blit scratch 0 frame.data 0 psz;
   frame.key <- key;
   frame.dirty <- false;
   ignore (Dstruct.Lockfree_hash.insert t.index key frame);
   Sim.Costbuf.add buf "index" c.hash_update;
   Policy.note_insert t.pol frame.fno ~touched:true;
-  List.iteri
-    (fun i (k, (fr : frame), iv) ->
-      Bytes.blit scratch ((i + 1) * psz) fr.data 0 psz;
+  List.iter
+    (fun (k, (fr : frame), iv) ->
       fr.key <- k;
       fr.dirty <- false;
       fr.vpn <- -1;

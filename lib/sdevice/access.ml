@@ -2,16 +2,17 @@ type entry = From_user | From_guest | In_kernel
 
 type t = {
   aname : string;
-  do_read : page:int -> count:int -> dst:Bytes.t -> (unit, Fault.error) result;
-  do_write : page:int -> count:int -> src:Bytes.t -> (unit, Fault.error) result;
+  do_read :
+    page:int -> count:int -> into:(int -> Bytes.t -> unit) -> (unit, Fault.error) result;
+  do_write :
+    page:int -> count:int -> src:Bytes.t -> src_off:int -> (unit, Fault.error) result;
 }
 
 let psz = Hw.Defs.page_size
 let name t = t.aname
 
-let check ~count ~buf =
-  if count <= 0 then invalid_arg "Access: count must be positive";
-  if Bytes.length buf < count * psz then invalid_arg "Access: buffer too small"
+let check_count count =
+  if count <= 0 then invalid_arg "Access: count must be positive"
 
 let entry_cost (c : Hw.Costs.t) = function
   | From_user -> c.syscall
@@ -26,46 +27,44 @@ let dax_pmem costs ?(simd = true) pmem =
      as NVMe ones (machine-check on load, failed store): consult the
      plan per copy.  A torn injection models an interrupted NT-store
      sequence — a page-aligned prefix of the span lands. *)
-  let rw ~write ~page ~count buf =
-    let charge cost = Sim.Engine.delay ~cat:Sim.Engine.Sys ~label:"io_memcpy" cost in
+  let charge cost = Sim.Engine.delay ~cat:Sim.Engine.Sys ~label:"io_memcpy" cost in
+  let read ~page ~count ~into =
+    let failed =
+      match Fault.active () with
+      | None -> None
+      | Some plan -> Fault.draw_read plan ~dev:aname ~page ~count
+    in
+    match failed with
+    | Some e ->
+        if Trace.on () then Sim.Probe.instant ~cat:"fault" "read_error";
+        Error e
+    | None ->
+        charge (Pmem.dax_read pmem costs ~simd ~page ~count ~into);
+        Ok ()
+  in
+  let write ~page ~count ~src ~src_off =
     let copy len =
       if len > 0 then
-        if write then
-          charge (Pmem.dax_write pmem costs ~simd ~addr:(addr_of page) ~src:buf ~src_off:0 ~len)
-        else
-          charge (Pmem.dax_read pmem costs ~simd ~addr:(addr_of page) ~len ~dst:buf ~dst_off:0)
+        charge (Pmem.dax_write pmem costs ~simd ~addr:(addr_of page) ~src ~src_off ~len)
     in
     match Fault.active () with
     | None ->
         copy (count * psz);
         Ok ()
-    | Some plan ->
-        if write then (
-          match Fault.draw_write plan ~dev:aname ~page ~count with
-          | Fault.W_ok ->
-              copy (count * psz);
-              Ok ()
-          | Fault.W_error e ->
-              if Trace.on () then Sim.Probe.instant ~cat:"fault" "write_error";
-              Error e
-          | Fault.W_torn keep ->
-              if Trace.on () then Sim.Probe.instant ~cat:"fault" "torn_write";
-              copy (keep * psz);
-              Error Fault.Transient)
-        else (
-          match Fault.draw_read plan ~dev:aname ~page ~count with
-          | Some e ->
-              if Trace.on () then Sim.Probe.instant ~cat:"fault" "read_error";
-              Error e
-          | None ->
-              copy (count * psz);
-              Ok ())
+    | Some plan -> (
+        match Fault.draw_write plan ~dev:aname ~page ~count with
+        | Fault.W_ok ->
+            copy (count * psz);
+            Ok ()
+        | Fault.W_error e ->
+            if Trace.on () then Sim.Probe.instant ~cat:"fault" "write_error";
+            Error e
+        | Fault.W_torn keep ->
+            if Trace.on () then Sim.Probe.instant ~cat:"fault" "torn_write";
+            copy (keep * psz);
+            Error Fault.Transient)
   in
-  {
-    aname;
-    do_read = (fun ~page ~count ~dst -> rw ~write:false ~page ~count dst);
-    do_write = (fun ~page ~count ~src -> rw ~write:true ~page ~count src);
-  }
+  { aname; do_read = read; do_write = write }
 
 let spdk_nvme (costs : Hw.Costs.t) dev =
   (* SPDK submission/completion is a few hundred cycles of user-space
@@ -76,15 +75,14 @@ let spdk_nvme (costs : Hw.Costs.t) dev =
   {
     aname = "SPDK-NVMe";
     do_read =
-      (fun ~page ~count ~dst ->
+      (fun ~page ~count ~into ->
         submit ();
-        Block_dev.read_result ~polling:true dev ~addr:(addr_of page)
-          ~len:(count * psz) ~dst ~dst_off:0);
+        Block_dev.read_result ~polling:true dev ~page ~count ~into);
     do_write =
-      (fun ~page ~count ~src ->
+      (fun ~page ~count ~src ~src_off ->
         submit ();
         Block_dev.write_result ~polling:true dev ~addr:(addr_of page) ~src
-          ~src_off:0 ~len:(count * psz));
+          ~src_off ~len:(count * psz));
   }
 
 let host_block ~aname (costs : Hw.Costs.t) ~entry ~wakeup ?(bounce = false) dev =
@@ -113,19 +111,16 @@ let host_block ~aname (costs : Hw.Costs.t) ~entry ~wakeup ?(bounce = false) dev 
   {
     aname;
     do_read =
-      (fun ~page ~count ~dst ->
+      (fun ~page ~count ~into ->
         prologue ();
-        let r =
-          Block_dev.read_result dev ~addr:(addr_of page) ~len:(count * psz) ~dst
-            ~dst_off:0
-        in
+        let r = Block_dev.read_result dev ~page ~count ~into in
         epilogue ();
         r);
     do_write =
-      (fun ~page ~count ~src ->
+      (fun ~page ~count ~src ~src_off ->
         prologue ();
         let r =
-          Block_dev.write_result dev ~addr:(addr_of page) ~src ~src_off:0
+          Block_dev.write_result dev ~addr:(addr_of page) ~src ~src_off
             ~len:(count * psz)
         in
         epilogue ();
@@ -148,14 +143,13 @@ let uring_nvme (costs : Hw.Costs.t) ~entry dev =
   {
     aname = "io_uring-NVMe";
     do_read =
-      (fun ~page ~count ~dst ->
+      (fun ~page ~count ~into ->
         prologue ();
-        Block_dev.read_result dev ~addr:(addr_of page) ~len:(count * psz) ~dst
-          ~dst_off:0);
+        Block_dev.read_result dev ~page ~count ~into);
     do_write =
-      (fun ~page ~count ~src ->
+      (fun ~page ~count ~src ~src_off ->
         prologue ();
-        Block_dev.write_result dev ~addr:(addr_of page) ~src ~src_off:0
+        Block_dev.write_result dev ~addr:(addr_of page) ~src ~src_off
           ~len:(count * psz));
   }
 
@@ -184,51 +178,56 @@ let m_retries_key : Metrics.Registry.cell Domain.DLS.key =
       Metrics.Registry.counter ~help:"transient I/O retries (with backoff)"
         "sdevice_io_retries")
 
-let rec attempt_io ~write t ~page ~count ~buf n =
-  let r =
-    if write then t.do_write ~page ~count ~src:buf
-    else t.do_read ~page ~count ~dst:buf
-  in
-  match r with
-  | Ok () -> Ok ()
-  | Error Fault.Permanent as e -> e
-  | Error Fault.Transient as e ->
-      if n >= max_attempts then e
-      else begin
-        (match Fault.active () with Some p -> Fault.note_retry p | None -> ());
-        Metrics.Registry.incr (Domain.DLS.get m_retries_key);
-        if Trace.on () then Sim.Probe.instant ~cat:"fault" "io_retry";
-        let backoff = Int64.mul backoff_base (Int64.shift_left 1L (n - 1)) in
-        Sim.Engine.idle_wait backoff;
-        Sim.Engine.label_add "io_retry" backoff;
-        attempt_io ~write t ~page ~count ~buf (n + 1)
-      end
+(* Before attempt [n + 1]: count the retry and back off. *)
+let backoff n =
+  (match Fault.active () with Some p -> Fault.note_retry p | None -> ());
+  Metrics.Registry.incr (Domain.DLS.get m_retries_key);
+  if Trace.on () then Sim.Probe.instant ~cat:"fault" "io_retry";
+  let cycles = Int64.mul backoff_base (Int64.shift_left 1L (n - 1)) in
+  Sim.Engine.idle_wait cycles;
+  Sim.Engine.label_add "io_retry" cycles
 
-let read_pages_result t ~page ~count ~dst =
-  check ~count ~buf:dst;
+let rec read_attempt t ~page ~count ~into n =
+  match t.do_read ~page ~count ~into with
+  | Error Fault.Transient when n < max_attempts ->
+      backoff n;
+      read_attempt t ~page ~count ~into (n + 1)
+  | r -> r
+
+let rec write_attempt t ~page ~count ~src ~src_off n =
+  match t.do_write ~page ~count ~src ~src_off with
+  | Error Fault.Transient when n < max_attempts ->
+      backoff n;
+      write_attempt t ~page ~count ~src ~src_off (n + 1)
+  | r -> r
+
+let read_pages t ~page ~count ~into =
+  check_count count;
   let t0 = Sim.Probe.span_start () in
-  let r = attempt_io ~write:false t ~page ~count ~buf:dst 1 in
+  let r = read_attempt t ~page ~count ~into 1 in
   Sim.Probe.span_since ~cat:"sdevice" ~value:(Int64.of_int count) ~t0 "dev_read";
-  r
-
-let write_pages_result t ~page ~count ~src =
-  check ~count ~buf:src;
-  let t0 = Sim.Probe.span_start () in
-  let r = attempt_io ~write:true t ~page ~count ~buf:src 1 in
-  Sim.Probe.span_since ~cat:"sdevice" ~value:(Int64.of_int count) ~t0 "dev_write";
-  r
-
-let read_pages t ~page ~count ~dst =
-  match read_pages_result t ~page ~count ~dst with
+  match r with
   | Ok () -> ()
   | Error e ->
       raise (Fault.Io_error { dev = t.aname; write = false; page; error = e })
 
-let write_pages t ~page ~count ~src =
-  match write_pages_result t ~page ~count ~src with
+let write_pages_result ?(src_off = 0) t ~page ~count ~src =
+  check_count count;
+  if src_off < 0 || Bytes.length src < src_off + (count * psz) then
+    invalid_arg "Access: buffer too small";
+  let t0 = Sim.Probe.span_start () in
+  let r = write_attempt t ~page ~count ~src ~src_off 1 in
+  Sim.Probe.span_since ~cat:"sdevice" ~value:(Int64.of_int count) ~t0 "dev_write";
+  r
+
+let write_pages ?src_off t ~page ~count ~src =
+  match write_pages_result ?src_off t ~page ~count ~src with
   | Ok () -> ()
   | Error e ->
       raise (Fault.Io_error { dev = t.aname; write = true; page; error = e })
 
-let read_page t ~page ~dst = read_pages t ~page ~count:1 ~dst
+let read_page t ~page ~dst =
+  if Bytes.length dst < psz then invalid_arg "Access: buffer too small";
+  read_pages t ~page ~count:1 ~into:(fun _ b -> Bytes.blit b 0 dst 0 psz)
+
 let write_page t ~page ~src = write_pages t ~page ~count:1 ~src

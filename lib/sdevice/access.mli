@@ -47,27 +47,38 @@ val uring_nvme : Hw.Costs.t -> entry:entry -> Block_dev.t -> t
     the kernel, so the software cost per request is far below
     {!host_nvme}'s — at the price of queueing latency in real systems. *)
 
-val read_pages : t -> page:int -> count:int -> dst:Bytes.t -> unit
-(** [read_pages a ~page ~count ~dst] reads device pages
-    [page .. page+count-1] into [dst] (which must hold [count] pages),
-    charging every cost on the method's path.  Must run inside a fiber.
+val read_pages :
+  t -> page:int -> count:int -> into:(int -> Bytes.t -> unit) -> unit
+(** [read_pages a ~page ~count ~into] reads device pages
+    [page .. page+count-1] as one I/O (one fault draw, one completion,
+    one DAX [memcpy] charge), charging every cost on the method's path.
+    Each page lands through [into i b], called when the device copies it
+    (after the service time for block devices, at submit for DAX): [into]
+    copies out of the device's [b] and never keeps it.  Must run inside a
+    fiber.
 
     Under an active {!Fault} plan, transient device failures are retried
     up to 5 times with exponential virtual-time backoff (20k cycles
     doubling per attempt, idle cycles under the "io_retry" label);
-    permanent failures and exhausted retries raise {!Fault.Io_error}. *)
+    permanent failures and exhausted retries raise {!Fault.Io_error}; a
+    failed attempt lands nothing. *)
 
-val write_pages : t -> page:int -> count:int -> src:Bytes.t -> unit
+val write_pages : ?src_off:int -> t -> page:int -> count:int -> src:Bytes.t -> unit
+(** [write_pages a ~page ~count ~src] writes the [count] pages of [src]
+    from byte [src_off] (default 0) on.  The device reads [src] only after
+    the service time, so the caller must not reuse it until this returns.
+    Same retry policy as {!read_pages}. *)
 
-val read_pages_result :
-  t -> page:int -> count:int -> dst:Bytes.t -> (unit, Fault.error) result
-(** Like {!read_pages} (including the retry policy) but reports the
+val write_pages_result :
+  ?src_off:int -> t -> page:int -> count:int -> src:Bytes.t -> (unit, Fault.error) result
+(** Like {!write_pages} (including the retry policy) but reports the
     final failure as [Error] — for callers with their own degradation
     path (the cache's write-back keeps failed pages dirty instead of
     unwinding). *)
 
-val write_pages_result :
-  t -> page:int -> count:int -> src:Bytes.t -> (unit, Fault.error) result
-
 val read_page : t -> page:int -> dst:Bytes.t -> unit
+(** [read_page a ~page ~dst] is {!read_pages} of one page, landed at the
+    start of [dst]; raises [Invalid_argument] before any I/O if [dst] is
+    shorter than a page. *)
+
 val write_page : t -> page:int -> src:Bytes.t -> unit

@@ -108,29 +108,29 @@ let spike_of t plan =
   end;
   s
 
-let read_result ?(polling = false) t ~addr ~len ~dst ~dst_off =
-  check_range t addr len;
-  match Fault.active () with
+let read_result ?(polling = false) t ~page ~count ~into =
+  let len = count * psz in
+  check_range t (Int64.mul (Int64.of_int page) (Int64.of_int psz)) len;
+  let failed =
+    match Fault.active () with
+    | None ->
+        occupy t ~polling ~len ~spike:1;
+        None
+    | Some plan ->
+        occupy t ~polling ~len ~spike:(spike_of t plan);
+        Fault.draw_read plan ~dev:t.dname ~page ~count
+  in
+  match failed with
+  | Some e ->
+      t.nread_errors <- t.nread_errors + 1;
+      Metrics.Registry.incr t.m_errors;
+      if Trace.on () then Sim.Probe.instant ~cat:"fault" "read_error";
+      Error e
   | None ->
-      occupy t ~polling ~len ~spike:1;
-      Pagestore.read_bytes t.dstore ~addr ~len ~dst ~dst_off;
+      Pagestore.read_pages t.dstore ~page ~count ~into;
       Metrics.Registry.incr t.m_reads;
       t.rbytes <- Int64.add t.rbytes (Int64.of_int len);
       Ok ()
-  | Some plan -> (
-      let page, count = page_span addr len in
-      occupy t ~polling ~len ~spike:(spike_of t plan);
-      match Fault.draw_read plan ~dev:t.dname ~page ~count with
-      | Some e ->
-          t.nread_errors <- t.nread_errors + 1;
-          Metrics.Registry.incr t.m_errors;
-          if Trace.on () then Sim.Probe.instant ~cat:"fault" "read_error";
-          Error e
-      | None ->
-          Pagestore.read_bytes t.dstore ~addr ~len ~dst ~dst_off;
-          Metrics.Registry.incr t.m_reads;
-          t.rbytes <- Int64.add t.rbytes (Int64.of_int len);
-          Ok ())
 
 (* The store is only mutated once the channel occupancy completed: an
    injected [Crash] mid-service aborts before any byte lands, so an
@@ -172,22 +172,6 @@ let write_result ?(polling = false) t ~addr ~src ~src_off ~len =
           t.ntorn <- t.ntorn + 1;
           if Trace.on () then Sim.Probe.instant ~cat:"fault" "torn_write";
           Error Fault.Transient)
-
-let read ?polling t ~addr ~len ~dst ~dst_off =
-  match read_result ?polling t ~addr ~len ~dst ~dst_off with
-  | Ok () -> ()
-  | Error e ->
-      raise
-        (Fault.Io_error
-           { dev = t.dname; write = false; page = fst (page_span addr len); error = e })
-
-let write ?polling t ~addr ~src ~src_off ~len =
-  match write_result ?polling t ~addr ~src ~src_off ~len with
-  | Ok () -> ()
-  | Error e ->
-      raise
-        (Fault.Io_error
-           { dev = t.dname; write = true; page = fst (page_span addr len); error = e })
 
 let reads t = Metrics.Registry.get t.m_reads
 let writes t = Metrics.Registry.get t.m_writes

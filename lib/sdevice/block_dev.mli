@@ -29,26 +29,22 @@ val service_time : t -> len:int -> int64
 (** [service_time t ~len] is the channel occupancy for one request,
     excluding queueing. *)
 
-val read : ?polling:bool -> t -> addr:int64 -> len:int -> dst:Bytes.t -> dst_off:int -> unit
-(** [read t ~addr ~len ~dst ~dst_off] performs a blocking device read:
-    queues for a channel, waits the service time, then materializes the
-    data from the backing store.  Must run inside a fiber.  Raises
-    {!Fault.Io_error} when the active fault plan fails the I/O. *)
-
-val write : ?polling:bool -> t -> addr:int64 -> src:Bytes.t -> src_off:int -> len:int -> unit
-
 val read_result :
-  ?polling:bool -> t -> addr:int64 -> len:int -> dst:Bytes.t -> dst_off:int ->
+  ?polling:bool -> t -> page:int -> count:int -> into:(int -> Bytes.t -> unit) ->
   (unit, Fault.error) result
-(** Like {!read} but reports injected failures as [Error] instead of
-    raising.  The channel occupancy (and any injected latency spike) is
-    charged either way — the device took the time before reporting the
-    error. *)
+(** [read_result t ~page ~count ~into] performs a blocking read of device
+    pages [page .. page+count-1]: queues for a channel, waits the service
+    time, then lands each page by calling [into i b] (see
+    {!Pagestore.read_pages}).  Must run inside a fiber.  An injected
+    failure is reported as [Error] and lands nothing.  The channel
+    occupancy (and any injected latency spike) is charged either way —
+    the device took the time before reporting the error. *)
 
 val write_result :
   ?polling:bool -> t -> addr:int64 -> src:Bytes.t -> src_off:int -> len:int ->
   (unit, Fault.error) result
-(** Like {!write} as a [result].  Store bytes are only mutated after the
+(** [write_result t ~addr ~src ~src_off ~len] performs a blocking write
+    of [len] bytes of [src] from [src_off] at byte [addr].  Store bytes are only mutated after the
     service time completes, so writes are all-or-nothing under a crash;
     a torn-write injection persists a page-aligned prefix of the span
     and reports [Error Transient]. *)

@@ -12,21 +12,15 @@ let get_page t p =
       Hashtbl.replace t.pages p b;
       b
 
-let read_bytes t ~addr ~len ~dst ~dst_off =
-  if len < 0 || dst_off < 0 || dst_off + len > Bytes.length dst then
-    invalid_arg "Pagestore.read_bytes";
-  let rec go addr remaining dpos =
-    if remaining > 0 then begin
-      let page = Int64.to_int (Int64.div addr (Int64.of_int psz)) in
-      let off = Int64.to_int (Int64.rem addr (Int64.of_int psz)) in
-      let chunk = min remaining (psz - off) in
-      (match Hashtbl.find_opt t.pages page with
-      | Some b -> Bytes.blit b off dst dpos chunk
-      | None -> Bytes.fill dst dpos chunk '\000');
-      go (Int64.add addr (Int64.of_int chunk)) (remaining - chunk) (dpos + chunk)
-    end
-  in
-  go addr len dst_off
+(* Every unwritten page reads from this one page; callers only copy it. *)
+let zero_page = Bytes.make psz '\000'
+
+let read_pages t ~page ~count ~into =
+  for i = 0 to count - 1 do
+    match Hashtbl.find t.pages (page + i) with
+    | b -> into i b
+    | exception Not_found -> into i zero_page
+  done
 
 let write_bytes t ~addr ~src ~src_off ~len =
   if len < 0 || src_off < 0 || src_off + len > Bytes.length src then
@@ -44,10 +38,7 @@ let write_bytes t ~addr ~src ~src_off ~len =
   go addr len src_off
 
 let read_page t ~page ~dst =
-  if Bytes.length dst < psz then invalid_arg "Pagestore.read_page: dst too small";
-  match Hashtbl.find_opt t.pages page with
-  | Some b -> Bytes.blit b 0 dst 0 psz
-  | None -> Bytes.fill dst 0 psz '\000'
+  read_pages t ~page ~count:1 ~into:(fun _ b -> Bytes.blit b 0 dst 0 psz)
 
 let write_page t ~page ~src =
   if Bytes.length src < psz then invalid_arg "Pagestore.write_page: src too small";
@@ -57,9 +48,8 @@ let write_page t ~page ~src =
 let allocated_pages t = Hashtbl.length t.pages
 
 let digest t =
-  let zero = Bytes.make psz '\000' in
   Hashtbl.fold
-    (fun p b acc -> if Bytes.equal b zero then acc else (p, b) :: acc)
+    (fun p b acc -> if Bytes.equal b zero_page then acc else (p, b) :: acc)
     t.pages []
   |> List.sort (fun (p, _) (q, _) -> Int.compare p q)
   |> List.concat_map (fun (p, b) -> [ string_of_int p; ":"; Bytes.to_string b ])

@@ -10,15 +10,19 @@ type t
 
 val create : unit -> t
 
-val read_bytes : t -> addr:int64 -> len:int -> dst:Bytes.t -> dst_off:int -> unit
-(** [read_bytes t ~addr ~len ~dst ~dst_off] copies [len] bytes starting at
-    device byte [addr] into [dst], crossing page boundaries as needed. *)
+val read_pages :
+  t -> page:int -> count:int -> into:(int -> Bytes.t -> unit) -> unit
+(** [read_pages t ~page ~count ~into] calls [into i b] once for each
+    page [page + i], in order, where [b] holds that page's
+    {!Hw.Defs.page_size} bytes (a shared zero page if it was never
+    written).  [b] belongs to the store: [into] copies out of it and
+    never keeps or mutates it. *)
 
 val write_bytes : t -> addr:int64 -> src:Bytes.t -> src_off:int -> len:int -> unit
 
 val read_page : t -> page:int -> dst:Bytes.t -> unit
-(** [read_page t ~page ~dst] copies one full page; [dst] must hold at least
-    {!Hw.Defs.page_size} bytes. *)
+(** [read_page t ~page ~dst] copies one full page into [dst] (at least
+    {!Hw.Defs.page_size} bytes). *)
 
 val write_page : t -> page:int -> src:Bytes.t -> unit
 

@@ -29,10 +29,11 @@ let block_dev t = t.block
 
 let derate factor cycles = Int64.of_float (Int64.to_float cycles *. factor)
 
-let dax_read t costs ~simd ~addr ~len ~dst ~dst_off =
-  Pagestore.read_bytes (store t) ~addr ~len ~dst ~dst_off;
+(* One copy per I/O: the FPU save/restore is paid once for all pages. *)
+let dax_read t costs ~simd ~page ~count ~into =
+  Pagestore.read_pages (store t) ~page ~count ~into;
   t.dreads <- t.dreads + 1;
-  derate nvm_read_factor (Hw.Costs.memcpy_bytes costs ~simd len)
+  derate nvm_read_factor (Hw.Costs.memcpy_bytes costs ~simd (count * Hw.Defs.page_size))
 
 let dax_write t costs ~simd ~addr ~src ~src_off ~len =
   Pagestore.write_bytes (store t) ~addr ~src ~src_off ~len;

@@ -24,11 +24,14 @@ val block_dev : t -> Block_dev.t
     setup, 0.24 cycles/byte — ~10 GB/s class). *)
 
 val dax_read :
-  t -> Hw.Costs.t -> simd:bool -> addr:int64 -> len:int -> dst:Bytes.t -> dst_off:int -> int64
-(** [dax_read t c ~simd ~addr ~len ~dst ~dst_off] copies data out of NVM
-    with CPU loads and returns the cycles to charge (the caller charges
-    them, typically inside a fault handler).  NVM reads are slower than
-    DRAM: the copy cost is derated by the media factor. *)
+  t -> Hw.Costs.t -> simd:bool -> page:int -> count:int ->
+  into:(int -> Bytes.t -> unit) -> int64
+(** [dax_read t c ~simd ~page ~count ~into] copies pages
+    [page .. page+count-1] out of NVM with CPU loads, landing each through
+    [into i b] (see {!Pagestore.read_pages}), and returns the cycles to
+    charge (the caller charges them, typically inside a fault handler):
+    one [memcpy] of [count] pages, derated because NVM reads are slower
+    than DRAM. *)
 
 val dax_write :
   t -> Hw.Costs.t -> simd:bool -> addr:int64 -> src:Bytes.t -> src_off:int -> len:int -> int64

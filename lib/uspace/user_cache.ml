@@ -13,7 +13,7 @@ let default_config ~capacity_pages =
   { capacity_pages; shards = 16; lookup_cost = 2800L; insert_cost = 3600L }
 
 type shard = {
-  slots : Bytes.t array; (* block data *)
+  slots : Bytes.t array; (* block data, installed by the miss that read it *)
   keys : int array; (* -1 = free *)
   index : (int, int) Hashtbl.t; (* key -> slot *)
   lru : Dstruct.Clock_lru.t;
@@ -38,7 +38,7 @@ let create cfg =
       Queue.add s free
     done;
     {
-      slots = Array.init per (fun _ -> Bytes.create psz);
+      slots = Array.make per Bytes.empty;
       keys = Array.make per (-1);
       index = Hashtbl.create (2 * per);
       lru = Dstruct.Clock_lru.create ~nframes:per;
@@ -67,8 +67,9 @@ let charge c = Sim.Engine.delay ~cat:Sim.Engine.User ~label:"ucache" c
 
 (* Returns the slot holding [key]'s block, filling it on a miss.  As in
    RocksDB's block cache, the entry is inserted only after the read
-   completes; concurrent misses on the same block each read the device
-   (wasted I/O, as in the real system) and the last insert wins. *)
+   completes, and the block the miss read into becomes the slot; concurrent
+   misses on the same block each read the device (wasted I/O, as in the
+   real system) and the last insert wins. *)
 let get_block t ~file_id ~page =
   let key = Pagekey.make ~file:file_id ~page in
   let sh = shard_of t key in
@@ -110,7 +111,7 @@ let get_block t ~file_id ~page =
             Dstruct.Clock_lru.set_active sh.lru slot true;
             slot
       in
-      Bytes.blit block 0 sh.slots.(slot) 0 psz;
+      sh.slots.(slot) <- block;
       Dstruct.Clock_lru.touch sh.lru slot;
       Sim.Sync.Mutex.unlock sh.lock;
       (sh, slot)

@@ -229,6 +229,34 @@ let scenario_accessors_are_per_instance () =
   Alcotest.(check (list int)) "registry = sum of both stacks" (delta v0 v2)
     (List.map2 ( + ) (own s1) (own s2))
 
+(* ---- Golden output digests ---- *)
+
+(* md5 of each fast registry entry's printed output, recorded before the
+   device-read path was rewritten to land pages in place.  Any change to
+   a figure's bytes fails here; a change that moves a result on purpose
+   updates the table and says why. *)
+let golden =
+  [
+    ("table1", "8530ce113d5528f61aa2bc5d4fe0ca38");
+    ("fig8a", "f509aeafce7fc37e0bfcc1f3dd9bd92d");
+    ("fig8b", "2f14f67147ef2c3a76e9ca18733a7f82");
+    ("fig8c", "4d98dc82671399d3ea90fc4d7120863c");
+    ("cluster", "03b6a6658b0a9aab7122d58e2bc5d630");
+    ("clusterf", "8714971d6aace524f0c7b5eb917bc289");
+    ("ablation-memcpy", "fce4bd601d2a1c4c59fd44bdcd745354");
+    ("ablation-readahead", "7d99cdc5d70e7ac6f57fff949226203b");
+    ("ablation-uring", "957501fa1b3ebefa531d4eef0497ca70");
+  ]
+
+let golden_digests () =
+  List.iter
+    (fun (id, want) ->
+      let e = Option.get (Experiments.Registry.find id) in
+      let (), out = Sim.Sink.capture e.Experiments.Registry.run in
+      Alcotest.(check bool) (id ^ ": printed something") true (out <> "");
+      Alcotest.(check string) (id ^ ": md5") want (Digest.to_hex (Digest.string out)))
+    golden
+
 let () =
   Alcotest.run "experiments"
     [
@@ -254,4 +282,5 @@ let () =
           Alcotest.test_case "--jobs parity per policy" `Quick
             policy_ablation_jobs_parity;
         ] );
+      ("golden", [ Alcotest.test_case "output digests" `Quick golden_digests ]);
     ]

@@ -123,7 +123,7 @@ let retry_exhaustion_and_backoff () =
       let raised = ref false in
       ignore
         (Sim.Engine.spawn eng ~core:0 (fun () ->
-             match Sdevice.Access.read_pages acc ~page:0 ~count:1 ~dst with
+             match Sdevice.Access.read_page acc ~page:0 ~dst with
              | () -> ()
              | exception Fault.Io_error { write = false; error = Fault.Transient; _ }
                ->
@@ -152,7 +152,7 @@ let permanent_fails_fast_and_sticks () =
       ignore
         (Sim.Engine.spawn eng ~core:0 (fun () ->
              for _ = 1 to 2 do
-               match Sdevice.Access.read_pages acc ~page:7 ~count:1 ~dst with
+               match Sdevice.Access.read_page acc ~page:7 ~dst with
                | () -> ()
                | exception Fault.Io_error { error; _ } -> errors := error :: !errors
              done));

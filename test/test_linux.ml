@@ -4,7 +4,11 @@
 let psz = Hw.Defs.page_size
 let checki = Alcotest.(check int)
 
-type rig = { msys : Linux_sim.Mmap_sys.t; file : Linux_sim.Mmap_sys.file }
+type rig = {
+  msys : Linux_sim.Mmap_sys.t;
+  file : Linux_sim.Mmap_sys.file;
+  store : Sdevice.Pagestore.t;
+}
 
 let make_rig ?(frames = 32) ?(readahead = 1) ?(file_pages = 256) () =
   let cfg =
@@ -27,7 +31,7 @@ let make_rig ?(frames = 32) ?(readahead = 1) ?(file_pages = 256) () =
       ~translate:(fun p -> if p < file_pages then Some p else None)
       ~size_pages:file_pages
   in
-  { msys; file }
+  { msys; file; store = Sdevice.Pmem.store pmem }
 
 let in_sim f =
   let eng = Sim.Engine.create () in
@@ -56,8 +60,15 @@ let mmap_rw_roundtrip () =
          Alcotest.(check bool) "reclaimed" true
            (Linux_sim.Page_cache.evictions (Linux_sim.Mmap_sys.page_cache r.msys) > 0)))
 
+(* Device page [p]'s bytes: each page its own pattern. *)
+let page_pattern p = Bytes.init psz (fun i -> Char.chr ((((p + 1) * 37) + i) land 0xff))
+
 let readahead_fills_cluster () =
   let r = make_rig ~frames:64 ~readahead:8 () in
+  (* pages 0-6 of the window hold their own bytes; page 7 is unwritten *)
+  for p = 0 to 6 do
+    Sdevice.Pagestore.write_page r.store ~page:p ~src:(page_pattern p)
+  done;
   ignore
     (in_sim (fun () ->
          Linux_sim.Mmap_sys.enter_thread r.msys;
@@ -70,7 +81,18 @@ let readahead_fills_cluster () =
               ~key:(Mcache.Pagekey.make ~file:(Linux_sim.Mmap_sys.file_id r.file) ~page:7));
          (* the neighbour faults as a minor fault: no new I/O *)
          Linux_sim.Mmap_sys.touch r.msys region ~page:7 ~write:false;
-         checki "still one io" 1 (Linux_sim.Page_cache.read_ios pc)))
+         checki "still one io" 1 (Linux_sim.Page_cache.read_ios pc);
+         (* every frame of the window landed its own page *)
+         let dst = Bytes.create psz in
+         for p = 0 to 7 do
+           Linux_sim.Mmap_sys.read r.msys region ~off:(p * psz) ~len:psz ~dst;
+           Alcotest.(check bool)
+             (Printf.sprintf "frame of page %d holds its bytes" p)
+             true
+             (Bytes.equal dst
+                (if p = 7 then Bytes.make psz '\000' else page_pattern p))
+         done;
+         checki "read from the window, no new io" 1 (Linux_sim.Page_cache.read_ios pc)))
 
 let tree_lock_contends () =
   let r = make_rig ~frames:512 ~file_pages:2048 () in
@@ -235,6 +257,35 @@ let direct_pread_pwrite () =
         (in_sim (fun () ->
              Linux_sim.Readwrite.pwrite fd ~off:5 ~src:(Bytes.create psz))))
 
+(* An unaligned direct read across a page boundary that is also a break
+   in the file's device mapping: two device reads, and each lands only
+   its part of the range. *)
+let direct_pread_across_translate_break () =
+  let pmem = Sdevice.Pmem.create () in
+  let access =
+    Sdevice.Access.host_pmem Hw.Costs.default ~entry:Sdevice.Access.From_user pmem
+  in
+  (* file pages 0-3 live at device 10-13, pages 4-7 at device 40-43 *)
+  let dev p = if p < 4 then p + 10 else p + 36 in
+  let fd =
+    Linux_sim.Readwrite.open_direct ~costs:Hw.Costs.default ~access
+      ~translate:(fun p -> if p < 8 then Some (dev p) else None)
+      ~size_pages:8
+  in
+  for p = 0 to 7 do
+    Sdevice.Pagestore.write_page (Sdevice.Pmem.store pmem) ~page:(dev p)
+      ~src:(page_pattern p)
+  done;
+  let file = Bytes.concat Bytes.empty (List.init 8 page_pattern) in
+  let off = (2 * psz) + 123 and len = (2 * psz) + 45 in
+  let dst = Bytes.make (len + 8) '#' in
+  ignore (in_sim (fun () -> Linux_sim.Readwrite.pread fd ~off ~len ~dst));
+  Alcotest.(check string) "file bytes" (Bytes.sub_string file off len)
+    (Bytes.sub_string dst 0 len);
+  Alcotest.(check string) "nothing past len" "########" (Bytes.sub_string dst len 8);
+  checki "one device read per run" 2
+    (Sdevice.Block_dev.reads (Sdevice.Pmem.block_dev pmem))
+
 let buffered_read_through_page_cache () =
   let r = make_rig ~frames:32 () in
   let pc = Linux_sim.Mmap_sys.page_cache r.msys in
@@ -280,6 +331,8 @@ let () =
       ( "readwrite",
         [
           Alcotest.test_case "direct pread/pwrite" `Quick direct_pread_pwrite;
+          Alcotest.test_case "direct pread across a mapping break" `Quick
+            direct_pread_across_translate_break;
           Alcotest.test_case "buffered read" `Quick buffered_read_through_page_cache;
           Alcotest.test_case "buffered write dirties" `Quick buffered_write_marks_dirty;
         ] );

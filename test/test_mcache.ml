@@ -224,8 +224,15 @@ let concurrent_faults_coalesce () =
   checki "single read io" 1 (Mcache.Dram_cache.read_ios r.cache);
   checki "one waited" 1 (Mcache.Dram_cache.inflight_waits r.cache)
 
+(* Device page [p]'s bytes: each page its own pattern. *)
+let page_pattern p = Bytes.init psz (fun i -> Char.chr ((((p + 1) * 37) + i) land 0xff))
+
 let readahead_fetches_contiguous () =
   let r = make_rig ~frames:64 () in
+  (* pages 10-16 of the window hold their own bytes; page 17 is unwritten *)
+  for p = 10 to 16 do
+    Sdevice.Pagestore.write_page (Sdevice.Pmem.store r.pmem) ~page:p ~src:(page_pattern p)
+  done;
   in_sim (fun () ->
       Mcache.Dram_cache.fault r.cache ~core:0 ~readahead:7 ~key:(key 10) ~vpn:400
         ~write:false ();
@@ -235,7 +242,19 @@ let readahead_fetches_contiguous () =
         (Mcache.Dram_cache.is_resident r.cache ~key:(key 17));
       (* neighbours are cached but unmapped: faulting one is a hit *)
       Mcache.Dram_cache.fault r.cache ~core:0 ~key:(key 12) ~vpn:402 ~write:false ();
-      checki "hit, not miss" 1 (Mcache.Dram_cache.misses r.cache))
+      checki "hit, not miss" 1 (Mcache.Dram_cache.misses r.cache);
+      (* every frame of the window landed its own page *)
+      for p = 10 to 17 do
+        Mcache.Dram_cache.fault r.cache ~core:0 ~key:(key p) ~vpn:(500 + p) ~write:false ();
+        let pte = Option.get (Hw.Page_table.find r.pt ~vpn:(500 + p)) in
+        Alcotest.(check bool)
+          (Printf.sprintf "frame of page %d holds its bytes" p)
+          true
+          (Bytes.equal
+             (Mcache.Dram_cache.pfn_data r.cache pte.Hw.Page_table.pfn)
+             (if p = 17 then Bytes.make psz '\000' else page_pattern p))
+      done;
+      checki "still one io" 1 (Mcache.Dram_cache.read_ios r.cache))
 
 let writeback_merges_sorted_runs () =
   let r = make_rig ~frames:64 () in
