@@ -75,9 +75,7 @@ let () =
   run
     {
       label = "streaming policy (SEQUENTIAL + big batches)";
-      tweak =
-        (fun c ->
-          { c with Mcache.Dram_cache.evict_batch = 256; writeback_merge = 128 });
+      tweak = (fun c -> { c with Mcache.Dram_cache.evict_batch = 256 });
       advice = Aquila.Vma.Sequential;
       host_access = false;
     };

@@ -14,9 +14,6 @@
 
 type config = {
   cache : Mcache.Dram_cache.config;
-  ept_granularity : int64;  (** huge-mapping size for GPA→HPA (Section 3.5) *)
-  readahead_normal : int;  (** window under [MADV_NORMAL] *)
-  readahead_sequential : int;  (** window under [MADV_SEQUENTIAL] *)
   domain : Hw.Domain_x.t;
       (** where faults are taken: [Nonroot_ring0] is Aquila; [Ring3] turns
           the same machinery into an in-kernel custom mmio path (Kreon's
@@ -24,9 +21,10 @@ type config = {
 }
 
 val default_config : cache_frames:int -> config
-(** Defaults: Aquila cache defaults, 2 MiB EPT mappings (scaled from the
-    paper's 1 GiB — see DESIGN.md §2), no readahead for normal areas, a
-    32-page window for sequential ones. *)
+(** Aquila cache defaults in non-root ring 0.  Fixed, not configured:
+    2 MiB EPT mappings (scaled from the paper's 1 GiB — see DESIGN.md §2),
+    a 32-page readahead window for [MADV_SEQUENTIAL] and [MADV_WILLNEED]
+    areas, none for the others. *)
 
 type t
 type file

@@ -53,7 +53,6 @@ let make_aquila ?(domain = Hw.Domain_x.Nonroot_ring0) ?(tweak = Fun.id) ~frames
   let store = Blobstore.Store.create ~capacity_pages:device_pages () in
   let cfg =
     {
-      (Aquila.Context.default_config ~cache_frames:frames) with
       Aquila.Context.cache =
         tweak
           {
@@ -70,12 +69,13 @@ let make_aquila_access ?(domain = Hw.Domain_x.Nonroot_ring0) ?(frames = 2048)
     ~access () =
   let machine = Hw.Machine.create () in
   let store = Blobstore.Store.create ~capacity_pages:device_pages () in
-  let base = Aquila.Context.default_config ~cache_frames:frames in
   let cfg =
     {
-      base with
       Aquila.Context.cache =
-        { base.Aquila.Context.cache with Mcache.Dram_cache.policy = policy () };
+        {
+          (Mcache.Dram_cache.default_config ~frames) with
+          Mcache.Dram_cache.policy = policy ();
+        };
       domain;
     }
   in
@@ -104,14 +104,9 @@ let make_linux ?(readahead = 32) ~frames ~dev () =
   let device = fresh_device dev in
   let access = host_access ~entry:Sdevice.Access.In_kernel device in
   let store = Blobstore.Store.create ~capacity_pages:device_pages () in
-  let cfg =
-    {
-      Linux_sim.Mmap_sys.cache =
-        { (Linux_sim.Page_cache.default_config ~frames) with readahead };
-      vma_rb_cost_multiplier = 1;
-    }
+  let msys =
+    Linux_sim.Mmap_sys.create ~costs ~machine { Linux_sim.Page_cache.frames; readahead }
   in
-  let msys = Linux_sim.Mmap_sys.create ~costs ~machine cfg in
   { l_msys = msys; l_store = store; l_access = access; l_machine = machine }
 
 type ucache_stack = {

@@ -25,11 +25,25 @@ val shootdown :
   vpns:int list ->
   int64
 (** [shootdown m c ~mode ~src ~targets ~vpns] invalidates [vpns] in the
-    TLBs of [targets] (excluding [src], whose local invalidation the caller
-    performs).  Mutates the target TLBs, queues receive work on each target
+    TLBs of [targets] (excluding [src]; {!invalidate} adds [src]'s own
+    part).  Mutates the target TLBs, queues receive work on each target
     core, and returns the cycles to charge the {e sender} (send plus
-    ack-wait).  Returns the local invalidation cost only when [targets] is
-    empty. *)
+    ack-wait).  Returns 0 when [targets] holds no core but [src]. *)
+
+val invalidate :
+  Machine.t ->
+  Costs.t ->
+  mode:send_mode ->
+  src:int ->
+  targets:int list ->
+  vpns:int list ->
+  int64
+(** [invalidate m c ~mode ~src ~targets ~vpns] is the batched invalidation
+    both mmap paths use: [src] drops [vpns] from its own TLB — one
+    invlpg per page, or one full flush past 33 pages — then
+    {!shootdown}s them from [targets].  Returns the cycles the caller
+    charges for both parts; an empty [vpns] costs nothing and touches no
+    TLB. *)
 
 val shootdowns_sent : unit -> int
 (** Shootdown batches sent from this domain: its [hw_tlb_shootdowns]

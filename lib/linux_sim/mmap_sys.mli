@@ -6,20 +6,16 @@
     the point of the paper: faults trap from ring 3 into the kernel
     (1287 cycles), walk the VMA tree under [mmap_sem], and go through the
     shared {!Page_cache} with its [tree_lock]/[lru_lock] serialization and
-    128 KiB fault readahead. *)
+    128 KiB fault readahead.
 
-type config = {
-  cache : Page_cache.config;
-  vma_rb_cost_multiplier : int;  (** VMA red-black walk depth factor *)
-}
-
-val default_config : cache_frames:int -> config
+    The process has one page cache, built from the {!Page_cache.config}
+    given to {!create}. *)
 
 type t
 type file
 type region
 
-val create : ?costs:Hw.Costs.t -> ?machine:Hw.Machine.t -> config -> t
+val create : ?costs:Hw.Costs.t -> ?machine:Hw.Machine.t -> Page_cache.config -> t
 
 val costs : t -> Hw.Costs.t
 val machine : t -> Hw.Machine.t

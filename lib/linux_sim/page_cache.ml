@@ -2,20 +2,12 @@ let psz = Hw.Defs.page_size
 
 module Pagekey = Mcache.Pagekey
 
-type config = {
-  frames : int;
-  readahead : int;
-  reclaim_batch : int;
-  writeback_merge : int;
-}
+type config = { frames : int; readahead : int }
 
-let default_config ~frames =
-  {
-    frames;
-    readahead = 32;
-    reclaim_batch = 32;
-    writeback_merge = 64;
-  }
+let default_config ~frames = { frames; readahead = 32 }
+
+(* Frames direct reclaim scans per round, as 4.14's SWAP_CLUSTER_MAX. *)
+let reclaim_batch = 32
 
 type frame = {
   fno : int;
@@ -47,7 +39,7 @@ type t = {
   lru_lock : Sim.Sync.Mutex.t;
   files : (int, file_meta) Hashtbl.t;
   inflight : (int, unit Sim.Sync.Ivar.t) Hashtbl.t;
-  wb_bufs : Sdevice.Bufpool.t; (* write-back snapshots, one per merged run *)
+  wb : Mcache.Writeback.t;
   flusher_waitq : Sim.Sync.Waitq.t;
   mutable flusher : (int * int) option; (* (hi, lo) watermarks *)
   mutable shoot_cores : int list;
@@ -79,7 +71,7 @@ let create ~costs ~machine ~page_table cfg =
       lru_lock = Sim.Sync.Mutex.create ~name:"lru_lock" ();
       files = Hashtbl.create 16;
       inflight = Hashtbl.create 64;
-      wb_bufs = Sdevice.Bufpool.create ~pages:(max 1 cfg.writeback_merge);
+      wb = Mcache.Writeback.create ();
       flusher_waitq = Sim.Sync.Waitq.create ();
       flusher = None;
       shoot_cores = [];
@@ -135,80 +127,29 @@ let lookup t key =
   Dstruct.Radix_tree.find m.tree page
 
 let shootdown_vpns t ~core vpns =
-  match vpns with
-  | [] -> ()
-  | _ :: _ ->
-      let c = t.costs in
-      let own = (Hw.Machine.core t.machine core).Hw.Machine.tlb in
-      let local =
-        if List.length vpns > 33 then Hw.Tlb.flush own c
-        else
-          List.fold_left
-            (fun acc vpn -> Int64.add acc (Hw.Tlb.invalidate_local own c ~vpn))
-            0L vpns
-      in
-      let send =
-        Hw.Ipi.shootdown t.machine c ~mode:Hw.Ipi.Kernel_ipi ~src:core
-          ~targets:t.shoot_cores ~vpns
-      in
-      delay_sys ~label:"tlb" (Int64.add local send)
+  if vpns <> [] then
+    delay_sys ~label:"tlb"
+      (Hw.Ipi.invalidate t.machine t.costs ~mode:Hw.Ipi.Kernel_ipi ~src:core
+         ~targets:t.shoot_cores ~vpns)
 
-(* Write the given (key, frame) pairs back, merging device-contiguous
-   runs.  Entries must already be guarded (tree entries removed or pages
+(* Write the given (key, frame) pairs back through the shared merged
+   writer.  Entries must already be guarded (tree entries removed or pages
    locked).  Suspends.  Returns the pairs whose write-back still failed
    after the access layer's retries; what to do with the casualties
    (re-tag dirty, or drop with data loss) is the caller's call. *)
 let writeback_pairs t pairs =
   let wb0 = Sim.Probe.span_start () in
-  let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) pairs in
-  let flush file dev_start run =
-    match run with
-    | [] -> []
-    | _ ->
-        let entries = List.rev run in
-        let count = List.length entries in
-        let scratch = Sdevice.Bufpool.take t.wb_bufs in
-        List.iteri
-          (fun i (_, (fr : frame)) -> Bytes.blit fr.data 0 scratch (i * psz) psz)
-          entries;
-        let m = meta_of t file in
-        let r =
-          Sdevice.Access.write_pages_result m.access ~page:dev_start ~count
-            ~src:scratch
-        in
-        (* only now has the device copied the snapshot *)
-        Sdevice.Bufpool.give t.wb_bufs scratch;
-        (match r with
-        | Ok () ->
-            Metrics.Registry.incr t.m_wb_ios;
-            []
-        | Error _ ->
-            t.s_wb_errors <- t.s_wb_errors + count;
-            if Trace.on () then Sim.Probe.instant ~cat:"fault" "wb_error";
-            entries)
+  let _, failed =
+    Mcache.Writeback.write t.wb
+      ~access:(fun file -> (meta_of t file).access)
+      ~translate:(fun file page -> (meta_of t file).translate page)
+      ~key:fst
+      ~data:(fun (_, (fr : frame)) -> fr.data)
+      ~on_io:(fun _ -> Metrics.Registry.incr t.m_wb_ios)
+      pairs
   in
-  let state = ref None in
-  let runs = ref [] in
-  List.iter
-    (fun (key, (fr : frame)) ->
-      let file = Pagekey.file_of key and page = Pagekey.page_of key in
-      let m = meta_of t file in
-      match m.translate page with
-      | None -> ()
-      | Some dev -> (
-          match !state with
-          | Some (f, start, next, run)
-            when f = file && dev = next && next - start < t.cfg.writeback_merge ->
-              state := Some (f, start, next + 1, (key, fr) :: run)
-          | Some prev ->
-              runs := prev :: !runs;
-              state := Some (file, dev, dev + 1, [ (key, fr) ])
-          | None -> state := Some (file, dev, dev + 1, [ (key, fr) ])))
-    sorted;
-  (match !state with Some last -> runs := last :: !runs | None -> ());
-  let failed =
-    List.concat_map (fun (f, start, _n, run) -> flush f start run) (List.rev !runs)
-  in
+  let failed = List.map fst failed in
+  t.s_wb_errors <- t.s_wb_errors + List.length failed;
   if pairs <> [] then
     Sim.Probe.span_since ~cat:"linux"
       ~value:(Int64.of_int (List.length pairs))
@@ -235,7 +176,7 @@ let reclaim t ~core =
   let c = t.costs in
   let rc0 = Sim.Probe.span_start () in
   Sim.Sync.Mutex.lock t.lru_lock;
-  let victims = Dstruct.Clock_lru.evict_candidates t.lru t.cfg.reclaim_batch in
+  let victims = Dstruct.Clock_lru.evict_candidates t.lru reclaim_batch in
   delay_sys ~label:"lru"
     (Int64.mul c.lru_update (Int64.of_int (max 1 (List.length victims))));
   Sim.Sync.Mutex.unlock t.lru_lock;

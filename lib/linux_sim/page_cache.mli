@@ -15,11 +15,11 @@
 type config = {
   frames : int;
   readahead : int;  (** pages read around a miss; Linux defaults to 32 (128 KiB) *)
-  reclaim_batch : int;  (** direct-reclaim scan batch (32) *)
-  writeback_merge : int;
 }
 
 val default_config : frames:int -> config
+(** [frames] frames and a 32-page readahead window.  Write-back merges at
+    most {!Mcache.Writeback.merge_pages} pages per I/O. *)
 
 type t
 

@@ -33,11 +33,11 @@ let check fd ~off ~len =
   if off < 0 || len < 0 || off + len > fd.fsize_pages * psz then
     invalid_arg "Readwrite: range outside file"
 
-(* Device pages covering [off, off+len), as (first_page, count). *)
+(* Device pages covering [off, off+len), as (first_page, count); an
+   empty range covers none. *)
 let span ~off ~len =
   let first = off / psz in
-  let last = (off + len - 1) / psz in
-  (first, last - first + 1)
+  if len = 0 then (first, 0) else (first, ((off + len - 1) / psz) - first + 1)
 
 (* O_DIRECT moves whole pages: split file pages [first, first+count)
    into device-contiguous runs and call [f file_page dev_page run] on

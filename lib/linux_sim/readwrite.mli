@@ -28,8 +28,8 @@ val size_pages : fd -> int
 
 val pread : fd -> off:int -> len:int -> dst:Bytes.t -> unit
 (** [pread fd ~off ~len ~dst] reads file bytes [\[off, off+len)].  Direct
-    mode rounds to page-aligned device requests, as [O_DIRECT] requires.
-    Must run inside a fiber. *)
+    mode rounds to page-aligned device requests, as [O_DIRECT] requires;
+    [len = 0] issues none.  Must run inside a fiber. *)
 
 val pwrite : fd -> off:int -> src:Bytes.t -> unit
 

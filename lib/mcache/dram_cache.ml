@@ -6,9 +6,7 @@ type config = {
   evict_batch : int;
   core_queue_limit : int;
   move_batch : int;
-  writeback_merge : int;
   ipi_mode : Hw.Ipi.send_mode;
-  readahead : int;
   wb_protect : bool;
   policy : Policy.kind;
 }
@@ -23,9 +21,7 @@ let default_config ~frames =
     evict_batch = max 16 (frames / 64);
     core_queue_limit = 512;
     move_batch = 256;
-    writeback_merge = 64;
     ipi_mode = Hw.Ipi.Vmexit_send;
-    readahead = 0;
     wb_protect = true;
     policy = Policy.Clock;
   }
@@ -55,7 +51,7 @@ type t = {
   dirty : Dirty_set.t;
   files : (int, backend) Hashtbl.t;
   inflight : (int, unit Sim.Sync.Ivar.t) Hashtbl.t;
-  wb_bufs : Sdevice.Bufpool.t; (* write-back snapshots, one per merged run *)
+  wb : Writeback.t;
   mutable evicting : bool;
   evict_waiters : Sim.Sync.Waitq.t;
   wb_waitq : Sim.Sync.Waitq.t;
@@ -116,7 +112,7 @@ let create ~costs ~machine ~page_table cfg =
       dirty = Dirty_set.create costs ~cores:topo.Hw.Topology.cores;
       files = Hashtbl.create 16;
       inflight = Hashtbl.create 64;
-      wb_bufs = Sdevice.Bufpool.create ~pages:(max 1 cfg.writeback_merge);
+      wb = Writeback.create ();
       evicting = false;
       evict_waiters = Sim.Sync.Waitq.create ();
       wb_waitq = Sim.Sync.Waitq.create ();
@@ -188,84 +184,29 @@ let set_shoot_cores t cores = t.shoot_cores <- cores
 (* Account the local invalidations and the batched shootdown for [vpns];
    mutates every target TLB immediately (pure — no suspension). *)
 let invalidate_mappings t ~core ~vpns buf =
-  match vpns with
-  | [] -> ()
-  | _ :: _ ->
-      let c = t.costs in
-      let own = (Hw.Machine.core t.machine core).Hw.Machine.tlb in
-      let local =
-        if List.length vpns > 33 then Hw.Tlb.flush own c
-        else
-          List.fold_left
-            (fun acc vpn -> Int64.add acc (Hw.Tlb.invalidate_local own c ~vpn))
-            0L vpns
-      in
-      Sim.Costbuf.add buf "tlb" local;
-      Sim.Costbuf.add buf "tlb"
-        (Hw.Ipi.shootdown t.machine c ~mode:t.cfg.ipi_mode ~src:core
-           ~targets:t.shoot_cores ~vpns)
+  Sim.Costbuf.add buf "tlb"
+    (Hw.Ipi.invalidate t.machine t.costs ~mode:t.cfg.ipi_mode ~src:core
+       ~targets:t.shoot_cores ~vpns)
 
-(* Write [frames] back to their devices in ascending key order, merging
-   runs of device-contiguous pages into single I/Os.  Suspends.  Returns
-   the frames whose run still failed after the access layer's retries,
-   with the final error — callers must keep those pages dirty (graceful
-   degradation: a failed write-back is never data loss). *)
+(* Write [frames] back through the shared merged writer.  Suspends.
+   Returns the frames whose run still failed after the access layer's
+   retries, with the final error — callers must keep those pages dirty
+   (graceful degradation: a failed write-back is never data loss). *)
 let writeback_frames t frames buf =
-  let c = t.costs in
   let wb0 = Sim.Probe.span_start () in
-  let items = List.sort (fun (a : frame) b -> Int.compare a.key b.key) frames in
-  let flush_run file dev_start run =
-    match run with
-    | [] -> []
-    | _ :: _ -> (
-        let frames_in_order = List.rev run in
-        let count = List.length frames_in_order in
-        let scratch = Sdevice.Bufpool.take t.wb_bufs in
-        List.iteri
-          (fun i (fr : frame) -> Bytes.blit fr.data 0 scratch (i * psz) psz)
-          frames_in_order;
-        let backend = backend_of t file in
-        let r =
-          Sdevice.Access.write_pages_result backend.access ~page:dev_start ~count
-            ~src:scratch
-        in
-        (* only now has the device copied the snapshot *)
-        Sdevice.Bufpool.give t.wb_bufs scratch;
-        match r with
-        | Ok () ->
-            Metrics.Registry.incr t.m_wb_ios;
-            Metrics.Registry.add t.m_wb_pages count;
-            []
-        | Error e ->
-            if Trace.on () then Sim.Probe.instant ~cat:"fault" "wb_error";
-            List.map (fun fr -> (fr, e)) frames_in_order)
+  let translated, failed =
+    Writeback.write t.wb
+      ~access:(fun file -> (backend_of t file).access)
+      ~translate:(fun file page -> (backend_of t file).translate page)
+      ~key:(fun (fr : frame) -> fr.key)
+      ~data:(fun (fr : frame) -> fr.data)
+      ~on_io:(fun count ->
+        Metrics.Registry.incr t.m_wb_ios;
+        Metrics.Registry.add t.m_wb_pages count)
+      frames
   in
-  let state = ref None in
-  let runs = ref [] in
-  List.iter
-    (fun (fr : frame) ->
-      let file = Pagekey.file_of fr.key and page = Pagekey.page_of fr.key in
-      let backend = backend_of t file in
-      match backend.translate page with
-      | None -> ()
-      | Some dev ->
-          Sim.Costbuf.add buf "writeback" c.radix_lookup;
-          (match !state with
-          | Some (f, start, next, run)
-            when f = file && dev = next && next - start < t.cfg.writeback_merge ->
-              state := Some (f, start, next + 1, fr :: run)
-          | Some prev ->
-              runs := prev :: !runs;
-              state := Some (file, dev, dev + 1, [ fr ])
-          | None -> state := Some (file, dev, dev + 1, [ fr ])))
-    items;
-  (match !state with Some last -> runs := last :: !runs | None -> ());
-  (* Issue the I/Os after run computation (the blits snapshot the data). *)
-  let failed =
-    List.concat_map
-      (fun (f, start, _next, run) -> flush_run f start run)
-      (List.rev !runs)
-  in
+  Sim.Costbuf.add buf "writeback"
+    (Int64.mul t.costs.radix_lookup (Int64.of_int translated));
   if frames <> [] then
     Sim.Probe.span_since ~cat:"mcache"
       ~value:(Int64.of_int (List.length frames))
@@ -525,11 +466,10 @@ let read_in t ~core ~key ~readahead (frame : frame) buf =
       Sim.Sync.Ivar.fill iv ())
     guards
 
-let fault t ?readahead ~core ~key ~vpn ~write () =
+let fault t ?(readahead = 0) ~core ~key ~vpn ~write () =
   let c = t.costs in
   if write && t.read_only then
     raise (Fault.Read_only "dram-cache: write-back failing, cache is read-only");
-  let readahead = match readahead with Some r -> r | None -> t.cfg.readahead in
   let buf = Sim.Costbuf.create () in
   Sim.Costbuf.add buf "index" c.hash_lookup;
   let rec get_frame () =

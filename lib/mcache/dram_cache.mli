@@ -25,9 +25,7 @@ type config = {
   evict_batch : int;  (** frames reclaimed per synchronous eviction *)
   core_queue_limit : int;  (** per-core freelist cap (Section 3.2) *)
   move_batch : int;  (** freelist level-to-level move batch *)
-  writeback_merge : int;  (** max pages merged into one write I/O *)
   ipi_mode : Hw.Ipi.send_mode;  (** how shootdown IPIs are sent *)
-  readahead : int;  (** pages prefetched after a missing page *)
   wb_protect : bool;
       (** write-protect PTEs after write-back (default true).  [false] is
           a {e deliberately broken} variant kept for the crash-consistency
@@ -42,8 +40,8 @@ type config = {
 val default_config : frames:int -> config
 (** Paper-flavoured defaults scaled to the simulation (see DESIGN.md §2):
     eviction batch = frames/64 (min 16), core queues 512, move batch 256,
-    merge 64, vmexit-send IPIs, no readahead, write-protect on, CLOCK
-    replacement. *)
+    vmexit-send IPIs, write-protect on, CLOCK replacement.  Write-back
+    merges at most {!Writeback.merge_pages} pages per I/O. *)
 
 type t
 
@@ -72,11 +70,11 @@ val fault :
 (** [fault t ~core ~key ~vpn ~write ()] services a page fault for virtual
     page [vpn] backed by [key]: looks up the cache, allocates/evicts/reads
     as needed, installs the PTE (read-only on read faults, for dirty
-    tracking), and marks dirty pages.  [readahead] overrides the
-    configured window (madvise-driven policy).  Must run inside a fiber;
-    charges
-    all software costs with per-label attribution ("index", "alloc",
-    "evict", "tlb", "map", "writeback" plus the I/O labels).
+    tracking), and marks dirty pages.  [readahead] (default 0) is the
+    number of pages prefetched after a missing one, set by the caller's
+    madvise policy.  Must run inside a fiber; charges all software costs
+    with per-label attribution ("index", "alloc", "evict", "tlb", "map",
+    "writeback" plus the I/O labels).
 
     Failure semantics under an active {!Fault} plan: an unrecoverable
     device read (after the access layer's retries) raises {!Fault.Sigbus}

@@ -71,12 +71,11 @@ type rig = { ctx : Aquila.Context.t; file : Aquila.Context.file }
 
 let make_rig ?(frames = 32) ?(max_frames = 64) ?(file_pages = 256)
     ?(domain = Hw.Domain_x.Nonroot_ring0) () =
-  let cfg0 = Aquila.Context.default_config ~cache_frames:frames in
   let cfg =
     {
-      cfg0 with
       Aquila.Context.domain;
-      cache = { cfg0.Aquila.Context.cache with Mcache.Dram_cache.max_frames };
+      cache =
+        { (Mcache.Dram_cache.default_config ~frames) with Mcache.Dram_cache.max_frames };
     }
   in
   let ctx = Aquila.Context.create cfg in

@@ -114,6 +114,34 @@ let ipi_self_only_is_free () =
   check64 "no targets, no cost" 0L
     (Hw.Ipi.shootdown m c ~mode:Hw.Ipi.Posted ~src:0 ~targets:[ 0 ] ~vpns:[ 1 ])
 
+(* Batched invalidation: one invlpg per page up to 33 pages, one full
+   flush past that, on the issuing core and on each receiver alike. *)
+let ipi_invalidate_flush_threshold () =
+  let pages n = List.init n (fun i -> 100 + i) in
+  let m = Hw.Machine.create () in
+  let local n =
+    Hw.Ipi.invalidate m c ~mode:Hw.Ipi.Posted ~src:0 ~targets:[ 0 ] ~vpns:(pages n)
+  in
+  check64 "33 pages: invlpg each" (Int64.mul 33L c.Hw.Costs.tlb_invlpg) (local 33);
+  check64 "34 pages: one full flush" c.Hw.Costs.tlb_full_flush (local 34);
+  let receiver n =
+    ignore
+      (Hw.Ipi.invalidate m c ~mode:Hw.Ipi.Posted ~src:0 ~targets:[ 0; 1 ]
+         ~vpns:(pages n));
+    Hw.Machine.drain_irq m ~core:1
+  in
+  check64 "receiver, 33 pages"
+    (Int64.add c.Hw.Costs.ipi_receive (Int64.mul 33L c.Hw.Costs.tlb_invlpg))
+    (receiver 33);
+  check64 "receiver, 34 pages"
+    (Int64.add c.Hw.Costs.ipi_receive c.Hw.Costs.tlb_full_flush)
+    (receiver 34);
+  Hw.Ipi.reset_counters ();
+  check64 "empty batch is free" 0L
+    (Hw.Ipi.invalidate m c ~mode:Hw.Ipi.Posted ~src:0 ~targets:[ 0; 1 ] ~vpns:[]);
+  checki "no shootdown sent" 0 (Hw.Ipi.shootdowns_sent ());
+  check64 "no receiver work" 0L (Hw.Machine.drain_irq m ~core:1)
+
 let drain_irq_clears () =
   let m = Hw.Machine.create () in
   Hw.Machine.deliver_irq m ~core:3 500L;
@@ -191,6 +219,8 @@ let () =
           Alcotest.test_case "shootdown" `Quick ipi_shootdown;
           Alcotest.test_case "self only" `Quick ipi_self_only_is_free;
           Alcotest.test_case "drain irq" `Quick drain_irq_clears;
+          Alcotest.test_case "invalidate flush threshold" `Quick
+            ipi_invalidate_flush_threshold;
         ] );
       ( "page table",
         [

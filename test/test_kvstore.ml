@@ -579,7 +579,7 @@ let env_backends_agree () =
       Sdevice.Access.host_pmem Hw.Costs.default ~entry:Sdevice.Access.In_kernel pmem
     in
     let msys =
-      Linux_sim.Mmap_sys.create (Linux_sim.Mmap_sys.default_config ~cache_frames:1024)
+      Linux_sim.Mmap_sys.create (Linux_sim.Page_cache.default_config ~frames:1024)
     in
     Kvstore.Env.linux_mmap ~store ~msys ~device_access:access
   in

@@ -11,14 +11,7 @@ type rig = {
 }
 
 let make_rig ?(frames = 32) ?(readahead = 1) ?(file_pages = 256) () =
-  let cfg =
-    {
-      Linux_sim.Mmap_sys.cache =
-        { (Linux_sim.Page_cache.default_config ~frames) with readahead };
-      vma_rb_cost_multiplier = 1;
-    }
-  in
-  let msys = Linux_sim.Mmap_sys.create cfg in
+  let msys = Linux_sim.Mmap_sys.create { Linux_sim.Page_cache.frames; readahead } in
   let pmem =
     Sdevice.Pmem.create ~capacity_bytes:(Int64.of_int (file_pages * psz)) ()
   in
@@ -136,11 +129,7 @@ let msync_cleans () =
    has landed, so every device page ends up with its own page's bytes. *)
 let concurrent_msyncs_keep_their_snapshots () =
   let msys =
-    Linux_sim.Mmap_sys.create
-      {
-        Linux_sim.Mmap_sys.cache = Linux_sim.Page_cache.default_config ~frames:64;
-        vma_rb_cost_multiplier = 1;
-      }
+    Linux_sim.Mmap_sys.create (Linux_sim.Page_cache.default_config ~frames:64)
   in
   let dev = Sdevice.Nvme.create ~name:"wb-nvme" () in
   let access =
@@ -230,6 +219,100 @@ let linux_fault_pays_ring3_trap () =
   ignore eng;
   checki "one fault" 1 (Linux_sim.Mmap_sys.faults r.msys)
 
+(* Model-based property: random stores, loads, msyncs and munmap-then-
+   remaps through the Linux mmap path agree with a flat in-memory model.
+   The 8-frame cache is a third of the 24-page file, so reclaim writes
+   pages back and refetches them; the file's device mapping breaks after
+   page 11, so readahead windows and write-back runs split there. *)
+type model_op =
+  | Store of int * int * char (* offset, length, byte *)
+  | Load of int * int (* offset, length *)
+  | Msync
+  | Remap
+
+let model_file_pages = 24
+let model_bytes = model_file_pages * psz
+let model_dev p = if p < 12 then p else p + 28
+
+let model_op_gen =
+  let open QCheck.Gen in
+  let range =
+    int_range 1 (2 * psz) >>= fun len ->
+    int_range 0 (model_bytes - len) >|= fun off -> (off, len)
+  in
+  frequency
+    [
+      (4, map2 (fun (off, len) c -> Store (off, len, c)) range printable);
+      (4, map (fun (off, len) -> Load (off, len)) range);
+      (1, return Msync);
+      (1, return Remap);
+    ]
+
+let model_op_print = function
+  | Store (off, len, ch) -> Printf.sprintf "store %d+%d %C" off len ch
+  | Load (off, len) -> Printf.sprintf "load %d+%d" off len
+  | Msync -> "msync"
+  | Remap -> "remap"
+
+let mmap_matches_model =
+  QCheck.Test.make ~name:"linux mmap matches a flat model" ~count:40
+    (QCheck.make
+       ~print:QCheck.Print.(list model_op_print)
+       QCheck.Gen.(list_size (int_range 1 80) model_op_gen))
+    (fun ops ->
+      let msys =
+        Linux_sim.Mmap_sys.create { Linux_sim.Page_cache.frames = 8; readahead = 4 }
+      in
+      let pmem = Sdevice.Pmem.create ~capacity_bytes:(Int64.of_int (64 * psz)) () in
+      let store = Sdevice.Pmem.store pmem in
+      let model = Bytes.init model_bytes (fun i -> Char.chr (((i / psz) * 7) + 1)) in
+      for p = 0 to model_file_pages - 1 do
+        Sdevice.Pagestore.write_page store ~page:(model_dev p)
+          ~src:(Bytes.sub model (p * psz) psz)
+      done;
+      let access =
+        Sdevice.Access.host_pmem (Linux_sim.Mmap_sys.costs msys)
+          ~entry:Sdevice.Access.In_kernel pmem
+      in
+      let file =
+        Linux_sim.Mmap_sys.attach_file msys ~name:"model" ~access
+          ~translate:(fun p -> if p < model_file_pages then Some (model_dev p) else None)
+          ~size_pages:model_file_pages
+      in
+      let failure = ref None in
+      let fail fmt =
+        Printf.ksprintf (fun s -> if !failure = None then failure := Some s) fmt
+      in
+      ignore
+        (in_sim (fun () ->
+             Linux_sim.Mmap_sys.enter_thread msys;
+             let mmap () = Linux_sim.Mmap_sys.mmap msys file ~npages:model_file_pages () in
+             let region = ref (mmap ()) in
+             List.iteri
+               (fun i op ->
+                 match op with
+                 | Store (off, len, ch) ->
+                     Linux_sim.Mmap_sys.write msys !region ~off ~src:(Bytes.make len ch);
+                     Bytes.fill model off len ch
+                 | Load (off, len) ->
+                     let dst = Bytes.create len in
+                     Linux_sim.Mmap_sys.read msys !region ~off ~len ~dst;
+                     if not (Bytes.equal dst (Bytes.sub model off len)) then
+                       fail "op %d: load %d+%d differs from the model" i off len
+                 | Msync ->
+                     Linux_sim.Mmap_sys.msync msys !region;
+                     for p = 0 to model_file_pages - 1 do
+                       let dev = Bytes.create psz in
+                       Sdevice.Pagestore.read_page store ~page:(model_dev p) ~dst:dev;
+                       if not (Bytes.equal dev (Bytes.sub model (p * psz) psz)) then
+                         fail "op %d: after msync, file page %d differs on the device" i p
+                     done
+                 | Remap ->
+                     Linux_sim.Mmap_sys.munmap msys !region;
+                     region := mmap ())
+               ops));
+      match !failure with None -> true | Some msg -> QCheck.Test.fail_report msg)
+
 (* ---- Readwrite (direct / buffered syscalls) ---- *)
 
 let direct_pread_pwrite () =
@@ -286,6 +369,29 @@ let direct_pread_across_translate_break () =
   checki "one device read per run" 2
     (Sdevice.Block_dev.reads (Sdevice.Pmem.block_dev pmem))
 
+(* A zero-length direct read is a syscall that moves nothing: no device
+   read, at a page boundary or inside a page. *)
+let direct_pread_empty () =
+  let pmem = Sdevice.Pmem.create () in
+  let access =
+    Sdevice.Access.host_pmem Hw.Costs.default ~entry:Sdevice.Access.From_user pmem
+  in
+  let fd =
+    Linux_sim.Readwrite.open_direct ~costs:Hw.Costs.default ~access
+      ~translate:(fun p -> if p < 8 then Some p else None)
+      ~size_pages:8
+  in
+  let reads () = Sdevice.Block_dev.reads (Sdevice.Pmem.block_dev pmem) in
+  ignore
+    (in_sim (fun () ->
+         List.iter
+           (fun off ->
+             let before = reads () in
+             Linux_sim.Readwrite.pread fd ~off ~len:0 ~dst:Bytes.empty;
+             checki (Printf.sprintf "no device read at offset %d" off) before (reads ()))
+           [ 0; 100 ]));
+  checki "both syscalls counted" 2 (Linux_sim.Readwrite.reads fd)
+
 let buffered_read_through_page_cache () =
   let r = make_rig ~frames:32 () in
   let pc = Linux_sim.Mmap_sys.page_cache r.msys in
@@ -327,6 +433,7 @@ let () =
             concurrent_msyncs_keep_their_snapshots;
           Alcotest.test_case "background flusher" `Quick background_flusher_cleans;
           Alcotest.test_case "fault counted" `Quick linux_fault_pays_ring3_trap;
+          QCheck_alcotest.to_alcotest mmap_matches_model;
         ] );
       ( "readwrite",
         [
@@ -335,5 +442,6 @@ let () =
             direct_pread_across_translate_break;
           Alcotest.test_case "buffered read" `Quick buffered_read_through_page_cache;
           Alcotest.test_case "buffered write dirties" `Quick buffered_write_marks_dirty;
+          Alcotest.test_case "direct pread of zero bytes" `Quick direct_pread_empty;
         ] );
     ]

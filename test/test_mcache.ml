@@ -269,6 +269,89 @@ let writeback_merges_sorted_runs () =
       checki "one merged write io" 1 (Mcache.Dram_cache.writeback_ios r.cache);
       checki "eight pages written" 8 (Mcache.Dram_cache.writeback_pages r.cache))
 
+(* ---- Writeback: the merged writer both caches share ---- *)
+
+(* Run one [Writeback.write] over (key, bytes) items into a fresh pmem
+   store; returns the store, the page counts [on_io] saw, and the result. *)
+let wb_run ?(translate = fun _file page -> Some page) ?data items =
+  let pmem = Sdevice.Pmem.create ~capacity_bytes:(Int64.of_int (512 * psz)) () in
+  let access = Sdevice.Access.dax_pmem c pmem in
+  let ios = ref [] and result = ref (0, []) in
+  in_sim (fun () ->
+      result :=
+        Mcache.Writeback.write (Mcache.Writeback.create ())
+          ~access:(fun _ -> access)
+          ~translate ~key:fst
+          ~data:(match data with Some f -> f | None -> snd)
+          ~on_io:(fun n -> ios := n :: !ios)
+          items);
+  (Sdevice.Pmem.store pmem, List.rev !ios, !result)
+
+let wb_item file page =
+  (Mcache.Pagekey.make ~file ~page, page_pattern ((file * 100) + page))
+
+let device_page store p =
+  let b = Bytes.create psz in
+  Sdevice.Pagestore.read_page store ~page:p ~dst:b;
+  b
+
+let writeback_caps_merged_runs () =
+  (* 65 contiguous pages, handed over in descending order *)
+  let items = List.init 65 (fun i -> wb_item 1 (64 - i)) in
+  let store, ios, (translated, failed) = wb_run items in
+  Alcotest.(check (list int)) "64 + 1 pages" [ Mcache.Writeback.merge_pages; 1 ] ios;
+  checki "all translated" 65 translated;
+  checki "none failed" 0 (List.length failed);
+  for p = 0 to 64 do
+    Alcotest.(check bool)
+      (Printf.sprintf "device page %d" p)
+      true
+      (Bytes.equal (snd (wb_item 1 p)) (device_page store p))
+  done
+
+let writeback_splits_runs () =
+  (* file pages 0-3 live at device 10-13, pages 4-7 at 30-33; page 8 is
+     past end of file *)
+  let translate _file p =
+    if p < 4 then Some (p + 10) else if p < 8 then Some (p + 26) else None
+  in
+  let items = List.init 9 (wb_item 1) in
+  let store, ios, (translated, _) = wb_run ~translate items in
+  Alcotest.(check (list int)) "a translate gap splits the run" [ 4; 4 ] ios;
+  checki "the page past end of file is skipped" 8 translated;
+  Alcotest.(check bool) "page 5 at device 31" true
+    (Bytes.equal (snd (wb_item 1 5)) (device_page store 31));
+  (* device-contiguous pages of two files: still two I/Os *)
+  let items = List.init 3 (wb_item 1) @ List.init 3 (fun i -> wb_item 2 (i + 3)) in
+  let _, ios, _ = wb_run items in
+  Alcotest.(check (list int)) "a change of file splits the run" [ 3; 3 ] ios
+
+let writeback_returns_failed_run () =
+  (* files 1, 2, 3 with two pages each at device pages 10f, 10f+1; file
+     2's run fails: every write fails while its snapshot is being taken,
+     which happens just before its write is issued *)
+  let translate file p = Some ((10 * file) + p) in
+  let plan =
+    Fault.Plan.make { Fault.Plan.default with Fault.Plan.write_error = 1.0 }
+  in
+  let data ((k, b) : Mcache.Pagekey.t * Bytes.t) =
+    if Mcache.Pagekey.file_of k = 2 then Fault.install plan else Fault.clear ();
+    b
+  in
+  let items = List.concat_map (fun f -> [ wb_item f 0; wb_item f 1 ]) [ 3; 2; 1 ] in
+  let store, ios, (translated, failed) =
+    Fun.protect ~finally:Fault.clear (fun () -> wb_run ~translate ~data items)
+  in
+  Alcotest.(check (list int)) "on_io sees only the good runs" [ 2; 2 ] ios;
+  checki "all translated" 6 translated;
+  Alcotest.(check (list int)) "exactly the failed run's items, in order"
+    [ fst (wb_item 2 0); fst (wb_item 2 1) ]
+    (List.map (fun ((k, _), _) -> k) failed);
+  Alcotest.(check bool) "file 3 written after the failure" true
+    (Bytes.equal (snd (wb_item 3 1)) (device_page store 31));
+  Alcotest.(check bool) "file 2 never reached the device" true
+    (Bytes.equal (Bytes.make psz '\000') (device_page store 20))
+
 let drop_file_clears () =
   let r = make_rig () in
   in_sim (fun () ->
@@ -861,6 +944,12 @@ let () =
             concurrent_msyncs_keep_their_snapshots;
           QCheck_alcotest.to_alcotest crash_keeps_exactly_synced;
           Alcotest.test_case "unregistered file" `Quick unregistered_file_rejected;
+        ] );
+      ( "writeback",
+        [
+          Alcotest.test_case "merge cap" `Quick writeback_caps_merged_runs;
+          Alcotest.test_case "run breaks" `Quick writeback_splits_runs;
+          Alcotest.test_case "failed run" `Quick writeback_returns_failed_run;
         ] );
       ( "policy",
         [
